@@ -34,7 +34,7 @@ void encode_gossip(const std::vector<MembershipUpdate>& updates,
   }
 }
 
-bool decode_gossip(const std::vector<double>& payload, std::size_t world,
+bool decode_gossip(std::span<const double> payload, std::size_t world,
                    std::vector<MembershipUpdate>& out) {
   out.clear();
   if (payload.size() % 3 != 0) return false;

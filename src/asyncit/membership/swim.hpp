@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "asyncit/membership/membership.hpp"
@@ -59,7 +60,7 @@ void encode_gossip(const std::vector<MembershipUpdate>& updates,
 /// Decodes a control-frame payload. Returns false (and leaves `out`
 /// empty) when the payload is malformed: wrong arity, non-integral
 /// fields, rank out of range, or a state outside the wire set.
-bool decode_gossip(const std::vector<double>& payload, std::size_t world,
+bool decode_gossip(std::span<const double> payload, std::size_t world,
                    std::vector<MembershipUpdate>& out);
 
 class SwimAgent {

@@ -21,12 +21,17 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "asyncit/linalg/partition.hpp"
 #include "asyncit/linalg/vector_ops.hpp"
 #include "asyncit/model/history.hpp"
 #include "asyncit/support/rng.hpp"
+
+namespace asyncit::transport {
+struct PayloadSlab;  // transport/pool.hpp
+}  // namespace asyncit::transport
 
 namespace asyncit::net {
 
@@ -48,7 +53,9 @@ inline constexpr std::uint8_t kNumMsgKinds = 6;
 
 inline constexpr bool is_control(MsgKind k) { return k != MsgKind::kValue; }
 
-/// A block value in flight between two peers.
+/// A block value in flight between two peers. Trivially copyable: the
+/// payload is a view into a refcounted slab (see transport/pool.hpp), so
+/// queues move headers, never doubles.
 struct Message {
   std::uint32_t src = 0;        ///< sending peer
   la::BlockId block = 0;        ///< which block the payload is
@@ -71,7 +78,13 @@ struct Message {
   double injected_delay = 0.0;
   double t_send = 0.0;          ///< wall seconds (runtime clock) at post
   double deliver_at = 0.0;      ///< t_send + injected latency
-  la::Vector value;             ///< the block payload
+  /// The payload: a window of the sender's publish slab (inproc, simnet)
+  /// or of a receive-side decode slab (tcp). Valid until the message is
+  /// recycled through its Endpoint.
+  std::span<const double> value;
+  /// Storage behind `value`; recycling drops this frame's reference.
+  /// Null for payload-less frames (heartbeats, control frames).
+  transport::PayloadSlab* slab = nullptr;
 };
 
 /// Per-link delivery behaviour (latency, ordering, loss).

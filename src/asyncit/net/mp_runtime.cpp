@@ -118,7 +118,10 @@ MpResult run_message_passing(const op::BlockOperator& op,
   // snapshot/residual scratch comes from the monitor's workspace — the
   // poll loop allocates nothing once warm.
   op::Workspace monitor_ws;
+  // `snap` doubles as the certificate: the loop leaves it holding the
+  // exact state the oracle or displacement rule judged when it stopped.
   la::Vector snap(partition.dim());
+  bool certified = false;
   rt::DisplacementStop stop_rule;
   while (!stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(
@@ -142,6 +145,7 @@ MpResult run_message_passing(const op::BlockOperator& op,
         obs::record(obs::EventType::kStopDecision, 0,
                     static_cast<std::uint32_t>(obs::StopReason::kOracle),
                     total, t);
+        certified = true;
         stop.store(true, std::memory_order_relaxed);
         break;
       }
@@ -149,11 +153,15 @@ MpResult run_message_passing(const op::BlockOperator& op,
     if (displacement_stop &&
         stop_rule.should_stop(
             last_displacement, op, options.solve.displacement_tol,
-            [&](std::span<double> s) { monitor.snapshot_into(s); },
+            [&](std::span<double> s) {
+              monitor.snapshot_into(snap);
+              std::copy(snap.begin(), snap.end(), s.begin());
+            },
             monitor_ws)) {
       obs::record(obs::EventType::kStopDecision, 0,
                   static_cast<std::uint32_t>(obs::StopReason::kDisplacement),
                   total, t);
+      certified = true;
       stop.store(true, std::memory_order_relaxed);
       break;
     }
@@ -242,8 +250,13 @@ MpResult run_message_passing(const op::BlockOperator& op,
     for (auto& e : phases) result.log.add_phase(e);
     for (auto& e : messages) result.log.add_message(e);
   }
+  // Report what the stop certified, not what the wind-down left behind:
+  // peers keep incorporating in-flight (possibly stale) values between
+  // the decision and the join.
+  if (certified) result.post_stop_drift = norm.distance(result.x, snap);
   if (oracle) {
-    result.final_error = norm.distance(result.x, *options.solve.x_star);
+    result.final_error =
+        norm.distance(certified ? snap : result.x, *options.solve.x_star);
     result.converged = result.final_error < options.solve.tol;
   }
   return result;

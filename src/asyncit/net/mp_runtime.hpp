@@ -171,10 +171,18 @@ struct MpOptions {
 };
 
 struct MpResult {
+  /// The iterate after every peer has joined (threaded runs: the monitor
+  /// plane assembled post-join).
   la::Vector x;
   double wall_seconds = 0.0;
+  /// Judged on the snapshot the stop decision certified (oracle or
+  /// displacement rule) when one did; on `x` after a budget stop.
   bool converged = false;
   double final_error = -1.0;  ///< oracle error (when x_star given)
+  /// Threaded runs with a certified stop: how far `x` moved past the
+  /// certified snapshot while the peers wound down (weighted max norm;
+  /// under kLastArrivalWins late updates can regress). 0 otherwise.
+  double post_stop_drift = 0.0;
 
   std::uint64_t total_updates = 0;           ///< block updates
   std::vector<std::uint64_t> updates_per_worker;

@@ -57,9 +57,6 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
                            ? ctx.options->workers
                            : 0,
                        0),
-      arrivals_(ctx.options->solve.mode != Mode::kAsync
-                    ? ctx.options->workers
-                    : 0),
       link_delays_(ctx.options->obs.link_delays ? ctx.options->workers
                                                 : 0) {
   ASYNCIT_CHECK(endpoint_->rank() == id_);
@@ -77,6 +74,29 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
   if (steer)
     steer_ = std::make_unique<obs::StalenessController>(
         ctx_.options->solve.adaptive, ctx_.options->solve.staleness);
+  if (ctx_.options->solve.mode != Mode::kAsync) {
+    // A gated source can run at most 2S+1 rounds past the oldest round we
+    // have not completed for it (S = the largest gate slack any rank can
+    // hold: it waits for our round - S, we waited for its round - S, and
+    // our round may have just advanced), so a ring of 2S+2 per-round
+    // counters per source never wraps onto a live round.
+    const std::uint64_t slack =
+        ctx_.options->solve.mode == Mode::kBsp ? 0
+        : steer ? ctx_.options->solve.adaptive.max_bound
+                : ctx_.options->solve.staleness;
+    ring_ = static_cast<std::size_t>(2 * slack + 2);
+    arrivals_.assign(ctx_.options->workers * ring_, 0);
+  }
+  if (ctx_.options->solve.mode == Mode::kBsp) {
+    // BSP holds back at most one round of the other ranks' blocks (no
+    // source can be past our completed round), so the holdback buffers
+    // are sized once and the gated loop never allocates.
+    const std::size_t others = ctx_.op->partition().num_blocks() -
+                               (*ctx_.owned)[id_].size();
+    holdback_.reserve(others);
+    holdback_keep_.reserve(others);
+    recycle_scratch_.reserve(others);
+  }
   if (ctx_.membership != nullptr) {
     // Elastic ranks only make sense in the totally asynchronous regime:
     // SSP/BSP round gates would wait forever for a rank that left.
@@ -89,11 +109,10 @@ Peer::Peer(const PeerContext& ctx, std::uint32_t id, const la::Vector& x0,
     trace_budget_ =
         ctx_.options->obs.max_trace_events / std::max<std::size_t>(1, ctx_.options->workers);
   if (ctx_.options->wire.delta) {
-    // One baseline per (destination, block). The `last` vectors size
-    // themselves to the block width on first use, so an idle link costs
-    // a few words, not a block copy.
-    delta_.resize(ctx_.options->workers *
-                  ctx_.op->partition().num_blocks());
+    // One baseline per (block, destination), allocated a block row at a
+    // time on the block's first publish: a rank only ever publishes the
+    // blocks it owns (or adopts), so the other rows stay empty.
+    delta_.resize(ctx_.op->partition().num_blocks());
     block_rx_epoch_.assign(ctx_.op->partition().num_blocks(), 0);
   }
 }
@@ -169,19 +188,21 @@ void Peer::receive() {
   const la::Partition& partition = ctx_.op->partition();
 
   if (bsp && !holdback_.empty()) {
-    for (Message& m : holdback_) {
+    for (const Message& m : holdback_) {
       if (m.round < round_) {
         incorporate_tracked(partition, policy, m);
-        recycle_scratch_.push_back(std::move(m));
+        recycle_scratch_.push_back(m);
       } else {
-        holdback_keep_.push_back(std::move(m));
+        holdback_keep_.push_back(m);
       }
     }
     holdback_.swap(holdback_keep_);
     holdback_keep_.clear();
   }
 
-  for (Message& m : inbox_) {
+  // Handles one drained message; false when BSP holds it back for a
+  // later round (it is then recycled only once incorporated).
+  auto consume = [&](const Message& m) -> bool {
     // Semantic validation BEFORE any field is used as an index: a frame
     // can be wire-valid yet describe another run's geometry (two nodes
     // launched with disagreeing configs). Such a message must be
@@ -190,7 +211,7 @@ void Peer::receive() {
       ++frames_rejected_;
       obs::record(obs::EventType::kFrameReject,
                   static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
-      continue;
+      return true;
     }
     if (m.kind == MsgKind::kStop) {
       // A rank announcing that its local stopping criterion fired (node
@@ -222,7 +243,7 @@ void Peer::receive() {
                  peers_stopped_ + 1 >= ctx_.options->workers) {
         trip_stop(obs::StopReason::kLiveViewDone);
       }
-      continue;
+      return true;
     }
     if (is_control(m.kind)) {
       // SWIM failure-detector traffic (membership/swim.hpp). Without an
@@ -237,7 +258,7 @@ void Peer::receive() {
                     m.src, m.tag, 0.0);
         ctx_.membership->on_frame(m, now());
       }
-      continue;
+      return true;
     }
     // A non-partial value frame must carry EXACTLY its block (a shorter
     // payload would silently prefix-overwrite the block yet count as a
@@ -253,7 +274,7 @@ void Peer::receive() {
       ++frames_rejected_;
       obs::record(obs::EventType::kFrameReject,
                   static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
-      continue;
+      return true;
     }
     // Per-link measured staleness: the drain-time delay of this frame,
     // attributed to its source rank (the (src, dst=this) breakdown that
@@ -265,32 +286,39 @@ void Peer::receive() {
     if (ctx_.membership != nullptr)
       ctx_.membership->heard_from(m.src, now());
     // Round-completion tracking (counts at drain time, independent of any
-    // BSP holdback). Only SSP/BSP gates consult it — and with message
-    // loss (kAsync) an incomplete round would leave its map entry behind
-    // forever — so skip the bookkeeping entirely in async mode. A delta
-    // frame that ends the sender's phase is partial on the wire but
-    // carries the complete flag: it counts like the full-width frame it
-    // replaced.
+    // BSP holdback). Only SSP/BSP gates consult it — with message loss
+    // (kAsync) an incomplete round would never drain from the ring — so
+    // skip the bookkeeping entirely in async mode. A delta frame that
+    // ends the sender's phase is partial on the wire but carries the
+    // complete flag: it counts like the full-width frame it replaced.
     if ((!m.partial || m.complete) &&
         ctx_.options->solve.mode != Mode::kAsync) {
       const std::size_t need = (*ctx_.owned)[m.src].size();
-      auto& per_round = arrivals_[m.src];
-      ++per_round[m.round];
-      auto it = per_round.find(complete_rounds_[m.src]);
-      while (it != per_round.end() && it->second >= need) {
-        per_round.erase(it);
-        ++complete_rounds_[m.src];
-        it = per_round.find(complete_rounds_[m.src]);
+      std::uint64_t& done = complete_rounds_[m.src];
+      ASYNCIT_CHECK_MSG(m.round >= done && m.round - done < ring_,
+                        "round ring overflow: a source ran past the gate");
+      std::uint32_t* counts = arrivals_.data() + std::size_t(m.src) * ring_;
+      ++counts[m.round % ring_];
+      while (counts[done % ring_] >= need) {
+        counts[done % ring_] = 0;
+        ++done;
       }
     }
-    if (bsp && m.round >= round_) {
-      holdback_.push_back(std::move(m));
-      continue;
-    }
+    if (bsp && m.round >= round_) return false;
     incorporate_tracked(partition, policy, m);
+    return true;
+  };
+
+  std::size_t consumed = 0;
+  for (const Message& m : inbox_) {
+    if (consume(m))
+      inbox_[consumed++] = m;
+    else
+      holdback_.push_back(m);
   }
-  // Return every consumed payload buffer to the endpoint's pool (the
-  // shells whose value moved into holdback_ are skipped by the pool).
+  inbox_.resize(consumed);
+  // Exactly the consumed messages go back; held-back ones keep their
+  // payload until a later receive() incorporates them.
   endpoint_->recycle(inbox_);
   if (!recycle_scratch_.empty()) endpoint_->recycle(recycle_scratch_);
   service_membership();
@@ -311,86 +339,64 @@ void Peer::send_block(la::BlockId b, bool partial) {
   const double t = now();
   const bool allow_drop = ctx_.options->solve.mode == Mode::kAsync;
   const WireOptions& wire = ctx_.options->wire;
-  const std::size_t num_blocks = partition.num_blocks();
-  auto send_one = [&](std::uint32_t dst) {
-    transport::MessageHeader header;
-    header.block = b;
-    header.tag = tag;
-    header.round = round_;
-    header.partial = partial;
-    std::span<const double> payload = value;
-    DeltaSlot* slot = nullptr;
-    bool full = true;
-    bool heartbeat = false;
-    if (wire.delta) {
-      slot = &delta_[std::size_t(dst) * num_blocks + b];
-      // A full refresh re-anchors the link: first contact, ownership
-      // churn on the block since the slot was anchored (the receiver's
-      // copy may predate our adoption), or the periodic resync that
-      // bounds how long a lost delta can linger as drift.
-      full = !slot->valid || slot->rx_epoch != block_rx_epoch_[b] ||
-             slot->sends_since_refresh + 1 >= wire.refresh_every;
-      if (!full) {
-        std::size_t lo = 0, hi = value.size();
-        const la::Vector& last = slot->last;
-        while (lo < hi && value[lo] == last[lo]) ++lo;
-        while (hi > lo && value[hi - 1] == last[hi - 1]) --hi;
-        if (lo == hi) {
-          // Nothing changed since the last frame on this link: send a
-          // zero-width heartbeat so the tag/round stream (and the chaos
-          // draw sequence — one draw per frame) is unchanged.
-          heartbeat = true;
-          header.offset = 0;
-          payload = {};
-        } else {
-          std::size_t off = lo, len = hi - lo;
-          if (wire.topk != 0 && len > wire.topk) {
-            const transport::codec::Window w = transport::codec::best_window(
-                value.subspan(lo, len),
-                std::span<const double>(last).subspan(lo, len), wire.topk);
-            off = lo + w.offset;
-            len = w.count;
-          }
-          header.offset = static_cast<std::uint32_t>(off);
-          payload = value.subspan(off, len);
-        }
-        header.partial = true;
-        // The frame replacing a full-width publish keeps its
-        // round-accounting weight; a frame that was partial anyway
-        // (flexible-mode early publish) stays weightless.
-        header.complete = !partial;
-      }
-    }
-    if (wire.quant_bits != 0 && !full && !payload.empty()) {
-      // Quantize delta ranges only: full-width refresh frames always
-      // carry exact doubles, so accumulated compression error is wiped
-      // at every resync and the steady-state noise floor is set by ONE
-      // inter-refresh window of delta steps (~ payload range * 2^-bits
-      // per frame), never by unbounded drift. Components that go exactly
-      // stationary stop paying it entirely (their frames degenerate to
-      // heartbeats); the stopping tolerance of a lossy run must still
-      // sit above the floor of the components that keep moving.
-      // Round-trip the payload onto the quantization lattice BEFORE the
-      // send: every backend (inproc hands over these doubles, TCP
-      // re-quantizes exactly since they sit on lattice points) delivers
-      // bit-identical values, and slot->last below tracks what the
-      // receiver actually holds.
-      codec_scratch_.assign(payload.begin(), payload.end());
-      const transport::codec::QuantParams qp =
-          transport::codec::choose_quant_params(codec_scratch_,
-                                                wire.quant_bits);
-      transport::codec::roundtrip(codec_scratch_, qp, wire.quant_bits);
-      header.quant_bits = static_cast<std::uint8_t>(wire.quant_bits);
-      header.quant_min = qp.min;
-      header.quant_scale = qp.scale;
-      payload = codec_scratch_;
-      ++wire_frames_codec_;
-    }
-    const transport::SendReceipt receipt =
-        endpoint_->send(dst, header, payload, t, allow_drop);
+
+  // The scratch is per carrier THREAD, not per peer: a publish never
+  // yields, so peers sharing a thread (every simnet rank runs on the
+  // engine's) share one set of lists instead of each holding W-entry
+  // vectors (~130 KB per rank at 1000 ranks).
+  static thread_local FanOut fan;
+  std::vector<transport::Frame>& frames = fan.frames;
+  std::vector<FrameNote>& notes = fan.notes;
+  std::vector<transport::SendReceipt>& receipts = fan.receipts;
+
+  // One frame per destination, all windows of `value` until the delta
+  // layer narrows them: the live view in elastic mode (suspects included
+  // — they are still presumed members until the grace period expires),
+  // every other rank otherwise.
+  frames.clear();
+  auto add_frame = [&](std::uint32_t dst) {
+    transport::Frame& f = frames.emplace_back();
+    f.dst = dst;
+    f.header.block = b;
+    f.header.tag = tag;
+    f.header.round = round_;
+    f.header.partial = partial;
+    f.value = value;
+  };
+  if (ctx_.membership != nullptr) {
+    for (const std::uint32_t dst : ctx_.membership->table().live_ranks())
+      if (dst != id_) add_frame(dst);
+  } else {
+    const std::uint32_t peers =
+        static_cast<std::uint32_t>(ctx_.options->workers);
+    for (std::uint32_t dst = 0; dst < peers; ++dst)
+      if (dst != id_) add_frame(dst);
+  }
+  notes.assign(frames.size(), FrameNote{});
+  if (wire.delta) {
+    std::vector<DeltaSlot>& slots = delta_[b];
+    if (slots.empty()) slots.resize(ctx_.options->workers);
+    // Codec payloads differ per link and must all stay alive until the
+    // publish: one block-width slot per frame, sized up front.
+    const std::size_t slot_width = wire.quant_bits != 0 ? value.size() : 0;
+    fan.codec.resize(frames.size() * slot_width);
+    for (std::size_t i = 0; i < frames.size(); ++i)
+      encode_delta(frames[i], notes[i], slots[frames[i].dst], value,
+                   std::span<double>(fan.codec)
+                       .subspan(i * slot_width, slot_width),
+                   partial);
+  }
+  receipts.resize(frames.size());
+  endpoint_->publish(value, frames, t, allow_drop, receipts);
+
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const transport::Frame& f = frames[i];
+    const FrameNote& note = notes[i];
+    const transport::SendReceipt& receipt = receipts[i];
+    const std::uint32_t dst = f.dst;
     const std::uint64_t raw = transport::frame_bytes(value.size());
     const std::uint64_t sent =
-        transport::wire_frame_bytes(payload.size(), header.quant_bits);
+        transport::wire_frame_bytes(f.value.size(), f.header.quant_bits);
     bytes_sent_raw_ += raw;
     bytes_sent_wire_ += sent;
     if (link_bytes_raw_.size() <= dst) {
@@ -399,55 +405,112 @@ void Peer::send_block(la::BlockId b, bool partial) {
     }
     link_bytes_raw_[dst] += raw;
     link_bytes_wire_[dst] += sent;
-    if (!wire.delta || full)
+    if (note.full)
       ++wire_frames_full_;
-    else if (heartbeat)
+    else if (note.heartbeat)
       ++wire_frames_heartbeat_;
     else
       ++wire_frames_delta_;
-    if (receipt.sent && slot != nullptr) {
+    if (f.header.quant_bits != 0) ++wire_frames_codec_;
+    if (receipt.sent && note.slot != nullptr) {
       // The slot mirrors what the receiver now holds — update it only
       // when the frame actually left (a dropped frame leaves the
       // receiver, and therefore the slot, unchanged).
-      if (full) {
-        slot->last.assign(payload.begin(), payload.end());
-        slot->valid = true;
-        slot->sends_since_refresh = 0;
-        slot->rx_epoch = block_rx_epoch_[b];
+      DeltaSlot& slot = *note.slot;
+      if (note.full) {
+        slot.last.assign(f.value.begin(), f.value.end());
+        slot.valid = true;
+        slot.sends_since_refresh = 0;
+        slot.rx_epoch = block_rx_epoch_[b];
       } else {
-        ++slot->sends_since_refresh;
-        if (!heartbeat)
-          std::copy(payload.begin(), payload.end(),
-                    slot->last.begin() + header.offset);
+        ++slot.sends_since_refresh;
+        if (!note.heartbeat)
+          std::copy(f.value.begin(), f.value.end(),
+                    slot.last.begin() + f.header.offset);
       }
     }
     if (obs::tracing_full()) {
       if (receipt.sent)
         obs::record(obs::EventType::kFrameSend,
-                    static_cast<std::uint8_t>(header.kind), dst, tag,
+                    static_cast<std::uint8_t>(f.header.kind), dst, tag,
                     double(sent));
       else
         obs::record(obs::EventType::kFrameDrop,
-                    static_cast<std::uint8_t>(header.kind), dst, tag, 0.0);
+                    static_cast<std::uint8_t>(f.header.kind), dst, tag, 0.0);
     }
     if (trace_budget_ > 0) {
       --trace_budget_;
       log_.add_message({id_, dst, b, partial, !receipt.sent, receipt.t_send,
                         receipt.deliver_at, tag});
     }
-  };
-  if (ctx_.membership != nullptr) {
-    // Publish to the LIVE view only (suspects included — they are still
-    // presumed members until the grace period expires).
-    for (const std::uint32_t dst : ctx_.membership->table().live_ranks())
-      if (dst != id_) send_one(dst);
-  } else {
-    const std::uint32_t peers =
-        static_cast<std::uint32_t>(ctx_.options->workers);
-    for (std::uint32_t dst = 0; dst < peers; ++dst)
-      if (dst != id_) send_one(dst);
   }
   if (partial) ++partials_sent_;
+}
+
+void Peer::encode_delta(transport::Frame& f, FrameNote& note,
+                        DeltaSlot& slot, std::span<const double> value,
+                        std::span<double> codec_out, bool partial) {
+  const WireOptions& wire = ctx_.options->wire;
+  note.slot = &slot;
+  // A full refresh re-anchors the link: first contact, ownership churn
+  // on the block since the slot was anchored (the receiver's copy may
+  // predate our adoption), or the periodic resync that bounds how long a
+  // lost delta can linger as drift.
+  note.full = !slot.valid || slot.rx_epoch != block_rx_epoch_[f.header.block] ||
+              slot.sends_since_refresh + 1 >= wire.refresh_every;
+  if (note.full) return;
+  std::size_t lo = 0, hi = value.size();
+  const la::Vector& last = slot.last;
+  while (lo < hi && value[lo] == last[lo]) ++lo;
+  while (hi > lo && value[hi - 1] == last[hi - 1]) --hi;
+  if (lo == hi) {
+    // Nothing changed since the last frame on this link: send a
+    // zero-width heartbeat so the tag/round stream (and the chaos draw
+    // sequence — one draw per frame) is unchanged.
+    note.heartbeat = true;
+    f.header.offset = 0;
+    f.value = {};
+  } else {
+    std::size_t off = lo, len = hi - lo;
+    if (wire.topk != 0 && len > wire.topk) {
+      const transport::codec::Window w = transport::codec::best_window(
+          value.subspan(lo, len),
+          std::span<const double>(last).subspan(lo, len), wire.topk);
+      off = lo + w.offset;
+      len = w.count;
+    }
+    f.header.offset = static_cast<std::uint32_t>(off);
+    f.value = value.subspan(off, len);
+  }
+  f.header.partial = true;
+  // The frame replacing a full-width publish keeps its round-accounting
+  // weight; a frame that was partial anyway (flexible-mode early
+  // publish) stays weightless.
+  f.header.complete = !partial;
+  if (wire.quant_bits != 0 && !f.value.empty()) {
+    // Quantize delta ranges only: full-width refresh frames always carry
+    // exact doubles, so accumulated compression error is wiped at every
+    // resync and the steady-state noise floor is set by ONE
+    // inter-refresh window of delta steps (~ payload range * 2^-bits per
+    // frame), never by unbounded drift. Components that go exactly
+    // stationary stop paying it entirely (their frames degenerate to
+    // heartbeats); the stopping tolerance of a lossy run must still sit
+    // above the floor of the components that keep moving.
+    // Round-trip the payload onto the quantization lattice BEFORE the
+    // publish: every backend (inproc/simnet share these doubles, TCP
+    // re-quantizes exactly since they sit on lattice points) delivers
+    // bit-identical values, and the slot tracks what the receiver
+    // actually holds.
+    const std::span<double> q = codec_out.first(f.value.size());
+    std::copy(f.value.begin(), f.value.end(), q.begin());
+    const transport::codec::QuantParams qp =
+        transport::codec::choose_quant_params(q, wire.quant_bits);
+    transport::codec::roundtrip(q, qp, wire.quant_bits);
+    f.header.quant_bits = static_cast<std::uint8_t>(wire.quant_bits);
+    f.header.quant_min = qp.min;
+    f.header.quant_scale = qp.scale;
+    f.value = q;
+  }
 }
 
 void Peer::broadcast_stop() {
@@ -788,6 +851,9 @@ void Peer::run() {
     }
     ++round_;
   }
+  // Frames still held back for a round that never came are consumed by
+  // the exit: their payload references go back like any other.
+  if (!holdback_.empty()) endpoint_->recycle(holdback_);
 }
 
 }  // namespace asyncit::net

@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "asyncit/membership/swim.hpp"
@@ -215,7 +214,8 @@ class Peer {
   /// flexible communication when configured) and publishes the result.
   void update_block(la::BlockId b, std::size_t reps,
                     std::span<const double> compute_view);
-  /// Sends the current value of owned block b to every other peer.
+  /// Publishes the current value of owned block b to every other peer
+  /// (one Endpoint::publish per call).
   void send_block(la::BlockId b, bool partial);
   /// Announces this rank's local stopping-criterion hit (node mode).
   void broadcast_stop();
@@ -239,7 +239,8 @@ class Peer {
   std::vector<Message> inbox_;        ///< drain buffer (reused)
   /// BSP only: drained messages from rounds this peer has not finished
   /// yet (fast peers may run one round ahead); incorporated once round_
-  /// passes them, keeping each round's snapshot exact.
+  /// passes them, keeping each round's snapshot exact. They hold their
+  /// payload references until then.
   std::vector<Message> holdback_;
   std::vector<Message> holdback_keep_;     ///< holdback filter scratch
   std::vector<Message> recycle_scratch_;   ///< consumed holdback returns
@@ -282,7 +283,30 @@ class Peer {
     std::uint64_t sends_since_refresh = 0;
     std::uint64_t rx_epoch = 0;  ///< block_rx_epoch_ when last refreshed
   };
-  std::vector<DeltaSlot> delta_;   ///< [dst * num_blocks + block]
+  /// [block][dst]; a block's row is allocated on its first publish (a
+  /// rank publishes only the blocks it owns or adopts).
+  std::vector<std::vector<DeltaSlot>> delta_;
+  /// What send_block decided for one frame of the fan-out, applied to the
+  /// accounting and the slot once the publish receipts are in.
+  struct FrameNote {
+    DeltaSlot* slot = nullptr;  ///< null with delta off
+    bool full = true;           ///< full-width frame (always, delta off)
+    bool heartbeat = false;     ///< zero-width delta frame
+  };
+  /// send_block's scratch for one publish: the frame list, the per-frame
+  /// notes and receipts (parallel to frames) and the codec payloads.
+  struct FanOut {
+    std::vector<transport::Frame> frames;
+    std::vector<FrameNote> notes;
+    std::vector<transport::SendReceipt> receipts;
+    la::Vector codec;  ///< one block-width slot per frame (codec on)
+  };
+  /// Narrows frame `f` (a full window of `value`) to its delta range
+  /// against `slot`, or to a heartbeat; delta ranges are quantized into
+  /// `codec_out` when the codec is on.
+  void encode_delta(transport::Frame& f, FrameNote& note, DeltaSlot& slot,
+                    std::span<const double> value,
+                    std::span<double> codec_out, bool partial);
   /// Raw-equivalent vs on-wire bytes per destination rank (index = dst).
   std::vector<std::uint64_t> link_bytes_raw_;
   std::vector<std::uint64_t> link_bytes_wire_;
@@ -290,7 +314,6 @@ class Peer {
   /// delta baseline toward EVERY destination is stale the moment someone
   /// else wrote the block (ownership churn), so the next send refreshes.
   std::vector<std::uint64_t> block_rx_epoch_;
-  la::Vector codec_scratch_;       ///< quantization roundtrip buffer
   std::uint64_t bytes_sent_raw_ = 0;
   std::uint64_t bytes_sent_wire_ = 0;
   std::uint64_t wire_frames_full_ = 0;
@@ -300,10 +323,13 @@ class Peer {
 
   /// Round-completion tracking per source peer: complete_rounds_[src] is
   /// the count r of initial rounds (0..r-1) for which ALL of src's final
-  /// block messages have been received; arrivals_[src] counts finals per
-  /// not-yet-complete round.
+  /// block messages have been received; arrivals_ holds, per source, a
+  /// ring of ring_ final counts indexed by round % ring_ (rounds
+  /// complete_rounds_[src] .. + ring_-1; sized from the gate slack in
+  /// the constructor, overflow is a CHECK).
   std::vector<std::uint64_t> complete_rounds_;
-  std::vector<std::unordered_map<std::uint64_t, std::size_t>> arrivals_;
+  std::vector<std::uint32_t> arrivals_;
+  std::size_t ring_ = 0;
 
   trace::EventLog log_;
   std::size_t trace_budget_ = 0;      ///< remaining events this peer may log

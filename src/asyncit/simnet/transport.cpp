@@ -84,6 +84,18 @@ std::uint64_t SimTransport::partition_dropped() const {
   return n;
 }
 
+std::uint64_t SimTransport::payload_doubles_copied() const {
+  std::uint64_t n = 0;
+  for (const auto& ep : endpoints_) n += ep->copied_;
+  return n;
+}
+
+std::size_t SimTransport::slabs_outstanding() const {
+  std::size_t n = 0;
+  for (const auto& ep : endpoints_) n += ep->slabs_.outstanding();
+  return n;
+}
+
 double SimTransport::base_latency(std::uint32_t s, std::uint32_t d) const {
   const TopologyConfig& topo = config_.topology;
   double base = topo.latency;
@@ -111,96 +123,134 @@ double SimEndpoint::compute_draw() {
 transport::SendReceipt SimEndpoint::send(
     std::uint32_t dst, const transport::MessageHeader& header,
     std::span<const double> value, double now, bool allow_drop) {
-  ASYNCIT_CHECK(dst < owner_->endpoints_.size() && dst != rank_);
+  const transport::Frame frame{dst, header, value};
+  transport::SendReceipt receipt;
+  publish(value, {&frame, 1}, now, allow_drop, {&receipt, 1});
+  return receipt;
+}
+
+void SimEndpoint::publish(std::span<const double> base,
+                          std::span<const transport::Frame> frames,
+                          double now, bool allow_drop,
+                          std::span<transport::SendReceipt> receipts) {
+  ASYNCIT_CHECK(receipts.size() == frames.size());
   SimEngine* engine = owner_->engine_;
   const double t = engine != nullptr ? engine->now() : now;
   const TopologyConfig& topo = owner_->config_.topology;
-  ++sent_;
-  // A severed link loses everything crossing the cut, control frames
-  // included — that IS the modelled failure, so allow_drop does not
-  // apply. Checked before the loss-model draws: a partitioned link
-  // carries no traffic, so it consumes no draws (the per-link stream is
-  // a function of the frames the link actually carried).
-  for (const PartitionWindow& w : topo.partitions) {
-    if (t >= w.t0 && t < w.t1 &&
-        (rank_ < w.boundary) != (dst < w.boundary)) {
+  transport::StagedPublish staged(slabs_, base, frames);
+  std::uint32_t refs = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const transport::Frame& f = frames[i];
+    const std::uint32_t dst = f.dst;
+    ASYNCIT_CHECK(dst < owner_->endpoints_.size() && dst != rank_);
+    ++sent_;
+    receipts[i] = transport::SendReceipt{false, t, 0.0};
+    // A severed link loses everything crossing the cut, control frames
+    // included — that IS the modelled failure, so allow_drop does not
+    // apply. Checked before the loss-model draws: a partitioned link
+    // carries no traffic, so it consumes no draws (the per-link stream
+    // is a function of the frames the link actually carried).
+    bool cut = false;
+    for (const PartitionWindow& w : topo.partitions)
+      cut = cut || (t >= w.t0 && t < w.t1 &&
+                    (rank_ < w.boundary) != (dst < w.boundary));
+    if (cut) {
       ++dropped_;
       ++partition_dropped_;
-      return transport::SendReceipt{false, t, 0.0};
+      continue;
     }
+    // Fixed per-frame draw order (latency, then drop if drop_prob > 0),
+    // consumed regardless of outcome — LinkStamper's replay-determinism
+    // contract.
+    Rng& link = links_[dst];
+    const double jitter_mult =
+        link.uniform(1.0 - topo.jitter, 1.0 + topo.jitter);
+    const bool drop_draw =
+        topo.drop_prob > 0.0 && link.bernoulli(topo.drop_prob);
+    const bool droppable =
+        allow_drop && (!net::is_control(f.header.kind) || topo.drop_control);
+    if (drop_draw && droppable) {
+      ++dropped_;
+      continue;
+    }
+    double latency =
+        std::max(owner_->base_latency(rank_, dst) * jitter_mult, 0.0);
+    if (topo.bandwidth > 0.0) {
+      // Serialization delay charged at the frame's TRUE wire size (the
+      // TCP framing: header + payload, quantized frames at their packed
+      // size) plus a notional 8-byte transport overhead — for raw
+      // full-width frames this is exactly the historical 8*count + 64
+      // bytes, so existing sweeps replay unchanged, while delta/codec
+      // frames pay what they would actually cost on a real link.
+      latency += (double(transport::wire_frame_bytes(
+                      f.value.size(), f.header.quant_bits)) +
+                  8.0) /
+                 topo.bandwidth;
+    }
+    double deliver_at = t + latency;
+    if (!fifo_floor_.empty()) {
+      deliver_at = std::max(deliver_at, fifo_floor_[dst]);
+      fifo_floor_[dst] = deliver_at;
+    }
+    Pending p;
+    p.seq = owner_->next_seq_++;
+    net::Message& m = p.msg;
+    m.src = rank_;
+    m.block = f.header.block;
+    m.tag = f.header.tag;
+    m.round = f.header.round;
+    m.partial = f.header.partial;
+    m.complete = f.header.complete;
+    m.kind = f.header.kind;
+    m.offset = f.header.offset;
+    m.injected_delay = f.header.injected_delay;  // chaos latency rides along
+    m.t_send = t;
+    m.deliver_at = deliver_at;
+    m.value = staged.window(f.value);
+    if (!m.value.empty()) {
+      m.slab = staged.slab();
+      ++refs;
+    }
+    SimEndpoint& station = *owner_->endpoints_[dst];
+    station.pending_.push_back(p);
+    station.next_ = std::min(station.next_, deliver_at);
+    ++station.activity_;
+    if (engine != nullptr) {
+      // Low 16 bits of the sender identify the waker in the event log.
+      engine->wake(dst, deliver_at, static_cast<std::uint16_t>(rank_));
+    }
+    receipts[i] = transport::SendReceipt{true, t, deliver_at};
   }
-  // Fixed per-frame draw order (latency, then drop if drop_prob > 0),
-  // consumed regardless of outcome — LinkStamper's replay-determinism
-  // contract.
-  Rng& link = links_[dst];
-  const double jitter_mult =
-      link.uniform(1.0 - topo.jitter, 1.0 + topo.jitter);
-  const bool drop_draw =
-      topo.drop_prob > 0.0 && link.bernoulli(topo.drop_prob);
-  const bool droppable =
-      allow_drop && (!net::is_control(header.kind) || topo.drop_control);
-  if (drop_draw && droppable) {
-    ++dropped_;
-    return transport::SendReceipt{false, t, 0.0};
-  }
-  double latency =
-      std::max(owner_->base_latency(rank_, dst) * jitter_mult, 0.0);
-  if (topo.bandwidth > 0.0) {
-    // Serialization delay charged at the frame's TRUE wire size (the TCP
-    // framing: header + payload, quantized frames at their packed size)
-    // plus a notional 8-byte transport overhead — for raw full-width
-    // frames this is exactly the historical 8*count + 64 bytes, so
-    // existing sweeps replay unchanged, while delta/codec frames now pay
-    // what they would actually cost on a real link.
-    latency += (double(transport::wire_frame_bytes(value.size(),
-                                                   header.quant_bits)) +
-                8.0) /
-               topo.bandwidth;
-  }
-  double deliver_at = t + latency;
-  if (!fifo_floor_.empty()) {
-    deliver_at = std::max(deliver_at, fifo_floor_[dst]);
-    fifo_floor_[dst] = deliver_at;
-  }
-  SimEndpoint& station = *owner_->endpoints_[dst];
-  net::Message m = station.pool_.acquire();
-  m.src = rank_;
-  m.block = header.block;
-  m.tag = header.tag;
-  m.round = header.round;
-  m.partial = header.partial;
-  m.complete = header.complete;
-  m.kind = header.kind;
-  m.offset = header.offset;
-  m.injected_delay = header.injected_delay;  // chaos latency rides along
-  m.t_send = t;
-  m.deliver_at = deliver_at;
-  m.value.assign(value.begin(), value.end());
-  Pending p;
-  p.deliver_at = deliver_at;
-  p.seq = owner_->next_seq_++;
-  p.msg = std::move(m);
-  station.pending_.push_back(std::move(p));
-  std::push_heap(station.pending_.begin(), station.pending_.end(),
-                 PendingLater{});
-  ++station.activity_;
-  if (engine != nullptr) {
-    // Low 16 bits of the sender identify the waker in the event log.
-    engine->wake(dst, deliver_at, static_cast<std::uint16_t>(rank_));
-  }
-  return transport::SendReceipt{true, t, deliver_at};
+  // One carrier thread: no receiver runs before the publish ends, so
+  // the frame references are taken in one step (the stage drops the
+  // publisher's own reference on return).
+  if (refs > 0) transport::retain(staged.slab(), refs);
+  copied_ += staged.copied();
 }
 
 std::size_t SimEndpoint::drain(double now, std::vector<net::Message>& out) {
-  std::size_t n = 0;
-  while (!pending_.empty() && pending_.front().deliver_at <= now) {
-    std::pop_heap(pending_.begin(), pending_.end(), PendingLater{});
-    Pending p = std::move(pending_.back());
-    pending_.pop_back();
-    delays_.add(now - p.msg.t_send);
-    out.push_back(std::move(p.msg));
-    ++n;
+  if (next_ > now) return 0;
+  // Partition: unmatured entries stay in front (their order is
+  // irrelevant — drains sort), matured ones collect at the back and are
+  // sorted into the heap's (deliver_at, seq) pop order.
+  std::size_t keep = 0;
+  double next = kInf;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].msg.deliver_at > now) {
+      next = std::min(next, pending_[i].msg.deliver_at);
+      if (keep != i) std::swap(pending_[keep], pending_[i]);
+      ++keep;
+    }
   }
+  const auto first = pending_.begin() + static_cast<std::ptrdiff_t>(keep);
+  std::sort(first, pending_.end(), PendingEarlier{});
+  for (auto it = first; it != pending_.end(); ++it) {
+    delays_.add(now - it->msg.t_send);
+    out.push_back(it->msg);
+  }
+  const std::size_t n = pending_.size() - keep;
+  pending_.resize(keep);
+  next_ = next;
   delivered_ += n;
   return n;
 }
@@ -219,8 +269,7 @@ std::size_t SimEndpoint::receive(double now, std::vector<net::Message>& out) {
 }
 
 void SimEndpoint::recycle(std::vector<net::Message>& consumed) {
-  for (net::Message& m : consumed) pool_.recycle(std::move(m));
-  consumed.clear();
+  transport::release_all(consumed);
 }
 
 void SimEndpoint::wait_for_activity(std::uint64_t seen,
@@ -233,8 +282,6 @@ void SimEndpoint::wait_for_activity(std::uint64_t seen,
   // Passive mode: no thread to wait on — scripted drivers poll.
 }
 
-double SimEndpoint::next_delivery() const {
-  return pending_.empty() ? kInf : pending_.front().deliver_at;
-}
+double SimEndpoint::next_delivery() const { return next_; }
 
 }  // namespace asyncit::simnet

@@ -1,10 +1,13 @@
 // Virtual-time backend: the WAN topology of config.hpp behind the
 // transport::Transport interface (DESIGN.md §10).
 //
-// Delivery is a dest-side min-heap keyed (deliver_at, global send seq) —
-// the same (time, seq) deterministic tie-break as the engine's event
-// queue, so delivery order is a pure function of (config, seed). Each
-// frame's latency is base(s, d) * jitter_draw + serialization, where
+// Delivery order is (deliver_at, global send seq) — the same (time,
+// seq) deterministic tie-break as the engine's event queue, so delivery
+// order is a pure function of (config, seed). Each destination keeps an
+// append-only vector of trivially-copyable entries; a drain partitions
+// it at `now` and sorts only the matured part by (deliver_at, seq), the
+// same total order a heap would pop in. Each frame's latency is
+// base(s, d) * jitter_draw + serialization, where
 // base(s, d) is COMPUTED from (latency, regions, cross_region, asymmetry)
 // rather than stored: the only per-link state is the jitter/drop RNG
 // stream (32 B) and, with fifo, the in-order floor — O(world) per
@@ -31,11 +34,15 @@
 // (the peer's SimClock reads the same value); the caller's `now` is used
 // only in passive mode.
 //
-// Pooling mirrors inproc: a sender borrows the net::Message from the
-// DESTINATION endpoint's pool, where the receiver's recycle() returns it.
+// Publishing mirrors inproc: publish() copies the payload once into a
+// slab from the SENDER's pool, every delivered frame is a view into it,
+// and the receivers' recycle() drops the references. send() is a
+// one-frame publish, so the per-frame draw order, wake order and seq
+// order of a publish are exactly those of the same frames sent in turn.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -56,6 +63,10 @@ class SimEndpoint final : public transport::Endpoint {
                               const transport::MessageHeader& header,
                               std::span<const double> value, double now,
                               bool allow_drop) override;
+  void publish(std::span<const double> base,
+               std::span<const transport::Frame> frames, double now,
+               bool allow_drop,
+               std::span<transport::SendReceipt> receipts) override;
   std::size_t receive(double now, std::vector<net::Message>& out) override;
   void recycle(std::vector<net::Message>& consumed) override;
   std::uint64_t activity() const override { return activity_; }
@@ -76,20 +87,21 @@ class SimEndpoint final : public transport::Endpoint {
   friend class SimTransport;
 
   struct Pending {
-    double deliver_at = 0.0;
     std::uint64_t seq = 0;  ///< transport-global send counter (tie-break)
     net::Message msg;
   };
-  struct PendingLater {
+  struct PendingEarlier {
     bool operator()(const Pending& a, const Pending& b) const {
-      if (a.deliver_at != b.deliver_at) return a.deliver_at > b.deliver_at;
-      return a.seq > b.seq;
+      if (a.msg.deliver_at != b.msg.deliver_at)
+        return a.msg.deliver_at < b.msg.deliver_at;
+      return a.seq < b.seq;
     }
   };
 
   /// One virtual compute-phase cost draw for this rank.
   double compute_draw();
-  /// Pops matured frames (deliver_at <= now) in (deliver_at, seq) order.
+  /// Moves matured frames (deliver_at <= now) to `out` in (deliver_at,
+  /// seq) order.
   std::size_t drain(double now, std::vector<net::Message>& out);
 
   SimTransport* owner_ = nullptr;
@@ -104,8 +116,10 @@ class SimEndpoint final : public transport::Endpoint {
 
   // Receive side. Single-threaded by construction (one carrier: either
   // the engine thread or the scripted test thread), so plain counters.
-  std::vector<Pending> pending_;  ///< min-heap via std::push_heap
-  transport::MessagePool pool_;
+  std::vector<Pending> pending_;  ///< unordered; drain sorts the matured
+  double next_ = std::numeric_limits<double>::infinity();  ///< min pending
+  transport::SlabPool slabs_;  ///< this sender's publish payloads
+  std::uint64_t copied_ = 0;   ///< payload doubles staged into slabs
   std::uint64_t activity_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
@@ -128,6 +142,15 @@ class SimTransport final : public transport::Transport {
   const char* backend() const override { return "sim"; }
 
   std::uint64_t partition_dropped() const;
+
+  /// Payload doubles copied into publish slabs across all senders: one
+  /// copy of each publish's base (plus codec payloads), never one per
+  /// destination — what c14's one_copy_per_publish gate checks.
+  std::uint64_t payload_doubles_copied() const;
+
+  /// Payload slabs not yet returned to their senders' pools (0 once
+  /// every delivered frame has been recycled).
+  std::size_t slabs_outstanding() const;
 
   /// Deterministic base one-way latency of directed link s -> d (no
   /// jitter, no serialization): latency * region multiplier * the

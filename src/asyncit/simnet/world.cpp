@@ -115,6 +115,7 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
   result.event_log = engine.log();
   result.log_truncated = engine.log_truncated();
   result.partition_dropped = fabric.partition_dropped();
+  result.payload_doubles_copied = fabric.payload_doubles_copied();
   world_obs.collect(result.obs_events_recorded, result.obs_events_dropped);
   result.all_converged = options.mp.solve.x_star.has_value();
   for (const net::MpResult& rank : result.ranks) {

@@ -72,6 +72,9 @@ struct WorldResult {
   std::vector<EventRecord> event_log;  ///< full log (sim.record_log)
   bool log_truncated = false;
   std::uint64_t partition_dropped = 0;
+  /// Payload doubles the fabric copied into publish slabs (one copy per
+  /// publish, whatever the fan-out; SimTransport::payload_doubles_copied).
+  std::uint64_t payload_doubles_copied = 0;
   bool all_converged = false;
   /// Max per-rank final oracle error (solve.x_star runs), the scalar
   /// the determinism checks compare across runs.

@@ -56,6 +56,8 @@ PsgdServer::PsgdServer(const PsgdContext& ctx, const la::Vector& x0,
     steer_ = std::make_unique<obs::StalenessController>(
         ctx_.options->sgd.adaptive, ctx_.options->sgd.staleness);
   inbox_.reserve(4 * W);
+  frames_.reserve(W);
+  receipts_.reserve(W);
   // Cached registry handles: find-or-create once here so the hot path
   // never rebuilds the name strings (the zero-alloc discipline).
   obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
@@ -71,7 +73,7 @@ void PsgdServer::apply_delta(std::span<const double> payload,
     x_[offset + i] += factor * payload[i];
 }
 
-void PsgdServer::send_params(std::uint32_t dst) {
+transport::MessageHeader PsgdServer::params_header() const {
   transport::MessageHeader h;
   h.block = 0;
   h.tag = version_;
@@ -80,14 +82,23 @@ void PsgdServer::send_params(std::uint32_t dst) {
   // offset has no placement meaning on a full model frame; it carries
   // the live adaptive bound to the workers' self-gate (0 = steering off).
   if (steer_) h.offset = static_cast<std::uint32_t>(steer_->bound());
+  return h;
+}
+
+void PsgdServer::send_params(std::uint32_t dst) {
   const bool tap = ctx_.options->sgd.discipline == Discipline::kTap;
-  endpoint_->send(dst, h, x_, now(), /*allow_drop=*/tap);
+  endpoint_->send(dst, params_header(), x_, now(), /*allow_drop=*/tap);
 }
 
 void PsgdServer::broadcast_params() {
-  const std::size_t W = workers();
-  for (std::size_t w = 0; w < W; ++w)
-    if (!worker_stopped_[w]) send_params(static_cast<std::uint32_t>(w + 1));
+  const transport::MessageHeader h = params_header();
+  frames_.clear();
+  for (std::size_t w = 0; w < workers(); ++w)
+    if (!worker_stopped_[w])
+      frames_.push_back({static_cast<std::uint32_t>(w + 1), h, x_});
+  receipts_.resize(frames_.size());
+  const bool tap = ctx_.options->sgd.discipline == Discipline::kTap;
+  endpoint_->publish(x_, frames_, now(), /*allow_drop=*/tap, receipts_);
 }
 
 void PsgdServer::maybe_eval() {

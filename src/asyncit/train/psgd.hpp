@@ -90,7 +90,10 @@ class PsgdServer {
   void apply_delta(std::span<const double> payload, std::uint32_t offset,
                    double factor);
   void apply_bsp_round_if_complete();
+  /// The full-model params frame header at the current version/round.
+  transport::MessageHeader params_header() const;
   void send_params(std::uint32_t dst);
+  /// One publish of the model to every worker still running.
   void broadcast_params();
   void maybe_eval();
   void finish(bool broadcast_stop);
@@ -113,6 +116,8 @@ class PsgdServer {
   std::vector<std::uint8_t> worker_stopped_;
 
   std::vector<net::Message> inbox_;
+  std::vector<transport::Frame> frames_;  ///< broadcast fan-out (reused)
+  std::vector<transport::SendReceipt> receipts_;
 
   bool finished_ = false;
   bool target_reached_ = false;

@@ -10,10 +10,11 @@
 // of every link is byte-for-byte the pre-transport one — the channel
 // replay-determinism tests hold across the refactor.
 //
-// Pooling: a sender borrows the outgoing net::Message from the
-// DESTINATION station's pool (the message ends its life there when the
-// receiver recycles its drain batch), so every pool's acquires and
-// recycles match one-to-one regardless of how asymmetric the traffic is.
+// Publishing: publish() copies the payload once into a slab from the
+// SENDER's pool and posts one header per destination into the
+// destination mailboxes; the receivers' recycle() drops the references
+// and the last one returns the slab to the sender's pool. send() is a
+// one-frame publish.
 //
 // delays() measures post-to-drain (injected latency + scheduling), as
 // before.
@@ -37,6 +38,9 @@ class InprocEndpoint final : public Endpoint {
   SendReceipt send(std::uint32_t dst, const MessageHeader& header,
                    std::span<const double> value, double now,
                    bool allow_drop) override;
+  void publish(std::span<const double> base, std::span<const Frame> frames,
+               double now, bool allow_drop,
+               std::span<SendReceipt> receipts) override;
   std::size_t receive(double now, std::vector<net::Message>& out) override;
   void recycle(std::vector<net::Message>& consumed) override;
   std::uint64_t activity() const override;
@@ -56,6 +60,7 @@ class InprocEndpoint final : public Endpoint {
   /// Per-destination stampers, owned and used by this endpoint's peer
   /// thread alone (the replay-determinism contract of net::LinkStamper).
   std::vector<net::LinkStamper> links_;
+  SlabPool slabs_;  ///< this sender's publish payloads
 };
 
 class InprocTransport final : public Transport {
@@ -66,21 +71,19 @@ class InprocTransport final : public Transport {
   InprocTransport(std::size_t world, const net::DeliveryPolicy& policy,
                   std::uint64_t seed);
 
-  std::size_t world() const override { return stations_.size(); }
+  std::size_t world() const override { return mailboxes_.size(); }
   std::vector<std::uint32_t> local_ranks() const override;
   Endpoint& endpoint(std::uint32_t rank) override;
   const char* backend() const override { return "inproc"; }
 
+  /// Payload slabs not yet returned to their senders' pools (0 once
+  /// every delivered frame has been recycled).
+  std::size_t slabs_outstanding() const;
+
  private:
   friend class InprocEndpoint;
-  /// Receive side of one rank: the mailbox plus the pool its consumed
-  /// messages return to (and its senders borrow from).
-  struct Station {
-    net::Mailbox mailbox;
-    MessagePool pool;
-  };
-  std::vector<std::unique_ptr<Station>> stations_;
-  std::vector<InprocEndpoint> endpoints_;
+  std::vector<std::unique_ptr<net::Mailbox>> mailboxes_;  ///< by receiver
+  std::vector<std::unique_ptr<InprocEndpoint>> endpoints_;
 };
 
 }  // namespace asyncit::transport

@@ -140,7 +140,7 @@ class TcpEndpoint final : public Endpoint {
   std::vector<std::unique_ptr<InLink>> in_;
 
   BytePool frame_pool_;
-  MessagePool rx_pool_;
+  SlabPool rx_slabs_;  ///< decode targets, one slab per received frame
 
   mutable std::mutex rx_mu_;
   std::condition_variable rx_cv_;
@@ -534,11 +534,12 @@ void TcpTransport::Impl::reader_loop(TcpEndpoint* ep,
     std::size_t off = 0;
     bool notify = false;
     while (off < buf.size()) {
-      net::Message m = ep->rx_pool_.acquire();
+      net::Message m;
+      PayloadSlab* slab = ep->rx_slabs_.acquire(0);
       std::size_t consumed = 0;
       const DecodeStatus st = decode_frame(
           std::span<const std::uint8_t>(buf.data() + off, buf.size() - off),
-          consumed, m,
+          consumed, m, slab->data,
           options.max_frame_doubles != 0 ? options.max_frame_doubles
                                          : kMaxPayloadDoubles);
       if (st == DecodeStatus::kOk) {
@@ -548,6 +549,11 @@ void TcpTransport::Impl::reader_loop(TcpEndpoint* ep,
           m_rx_bytes->add(consumed);
         }
         m.deliver_at = clock.seconds();  // arrival stamp (transport clock)
+        if (m.value.empty()) {
+          release(slab);  // control frames carry no payload
+        } else {
+          m.slab = slab;
+        }
         {
           std::lock_guard<std::mutex> lock(ep->rx_mu_);
           ep->delivered_.push_back(std::move(m));
@@ -555,7 +561,7 @@ void TcpTransport::Impl::reader_loop(TcpEndpoint* ep,
         }
         notify = true;
       } else {
-        ep->rx_pool_.recycle(std::move(m));
+        release(slab);
         if (st == DecodeStatus::kNeedMore) break;
         // Corrupt stream: count it and kill the connection — a broken
         // framing layer can never resynchronize safely. shutdown() (not
@@ -749,8 +755,7 @@ std::size_t TcpEndpoint::receive(double now,
 }
 
 void TcpEndpoint::recycle(std::vector<net::Message>& consumed) {
-  for (net::Message& m : consumed) rx_pool_.recycle(std::move(m));
-  consumed.clear();
+  release_all(consumed);
 }
 
 std::uint64_t TcpEndpoint::activity() const {

@@ -28,8 +28,10 @@
 //     the background, so a rank that joins late — or rejoins after a
 //     crash — is wired into the mesh without restarting anyone.
 //
-// Steady state allocates nothing: frames and messages are pooled
-// (transport/pool.hpp), reassembly buffers and queues retain capacity.
+// Steady state allocates nothing: wire frames and receive payload slabs
+// are pooled (transport/pool.hpp), reassembly buffers and queues retain
+// capacity. TCP implements send() only; Endpoint::publish falls back to
+// encoding each frame in turn.
 #pragma once
 
 #include <cstdint>

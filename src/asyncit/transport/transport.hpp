@@ -21,11 +21,28 @@
 //           level, so delay-model experiments run unchanged over real
 //           sockets.
 //
-// Allocation discipline: the send/receive path is allocation-free in
-// steady state. Payload buffers and wire frames are recycled through
-// transport/pool.hpp pools with the same discipline as op::Workspace —
-// every acquire is matched by a recycle, capacity is retained, and after
-// warm-up the pools serve every message (pinned by tests/alloc_test.cpp).
+// Publish once, deliver by reference: a peer hands a whole fan-out to
+// Endpoint::publish — one base payload plus one Frame per destination —
+// and the contract is exactly "publish == the same frames passed to
+// send() in order" (same receipts, same draws, same delivery order; the
+// simnet replay hash is the oracle). inproc and simnet implement publish
+// natively: the payload is copied ONCE into a refcounted slab owned by
+// the sender's pool (transport/pool.hpp), and every delivered
+// net::Message is a small trivially-copyable header whose `value` is a
+// view into that slab — full frames, delta windows and heartbeats are
+// windows of the base, only codec frames append their own lattice
+// payload. send() on those backends is a one-frame publish. TCP and the
+// decorators (chaos, and any tracing wrapper) override only send() and
+// inherit the default publish, which loops send() in frame order.
+//
+// Payload lifetime: a received Message::value stays valid until the
+// message is passed to recycle(), which drops the frame's slab
+// reference; the slab returns to its pool when the last frame of the
+// publish is recycled. A receiver must therefore recycle exactly the
+// messages it consumed — a message it keeps (BSP holdback) keeps its
+// payload alive until it is recycled later. Slabs keep their capacity,
+// so after warm-up the send/receive path is allocation-free (pinned by
+// tests/alloc_test.cpp).
 //
 // Threading contract: one Endpoint is driven by exactly ONE peer thread
 // (send/receive/recycle/wait are called from it alone); backends may run
@@ -76,6 +93,15 @@ struct SendReceipt {
   double deliver_at = 0.0;
 };
 
+/// One destination of a publish. `value` is either a window of the
+/// publish's base payload (full frames, delta ranges, heartbeats) or a
+/// payload of its own (codec frames), and is read during publish() only.
+struct Frame {
+  std::uint32_t dst = 0;
+  MessageHeader header;
+  std::span<const double> value;
+};
+
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -90,14 +116,30 @@ class Endpoint {
                            std::span<const double> value, double now,
                            bool allow_drop) = 0;
 
+  /// Fan-out: sends every frame in order, exactly as if each were passed
+  /// to send(f.dst, f.header, f.value, now, allow_drop), and writes the
+  /// receipt of frames[i] to receipts[i] (receipts.size() ==
+  /// frames.size()). `base` is the payload the frames window into; slab
+  /// backends copy it once for the whole fan-out. The default is that
+  /// send() loop (TCP and the decorators).
+  virtual void publish(std::span<const double> base,
+                       std::span<const Frame> frames, double now,
+                       bool allow_drop, std::span<SendReceipt> receipts) {
+    (void)base;
+    for (std::size_t i = 0; i < frames.size(); ++i)
+      receipts[i] = send(frames[i].dst, frames[i].header, frames[i].value,
+                         now, allow_drop);
+  }
+
   /// Appends every message deliverable at `now` to `out` (delivery order)
-  /// and returns the number appended. Ownership of the payload buffers
-  /// moves to the caller until recycle().
+  /// and returns the number appended. Each message's payload view stays
+  /// valid until the message is passed to recycle().
   virtual std::size_t receive(double now, std::vector<net::Message>& out) = 0;
 
-  /// Returns consumed messages' payload buffers to the endpoint's pool
-  /// and clears `consumed`. Call after incorporating a receive() batch;
-  /// this is what keeps the steady-state path allocation-free.
+  /// Drops the payload references of consumed messages and clears
+  /// `consumed`. Call with exactly the messages consumed from receive()
+  /// batches (each once); this is what keeps the steady-state path
+  /// allocation-free and the slab pools balanced.
   virtual void recycle(std::vector<net::Message>& consumed) = 0;
 
   /// Monotone counter bumped whenever new data may have become

@@ -143,6 +143,7 @@ void encode_frame(std::uint32_t src, const MessageHeader& header,
 
 DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
                           std::size_t& consumed, net::Message& out,
+                          std::vector<double>& payload,
                           std::uint32_t max_block_doubles) {
   consumed = 0;
   if (buf.size() < 4) return DecodeStatus::kNeedMore;
@@ -214,26 +215,27 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
   out.t_send = get_f64(p + 40);
   out.injected_delay = get_f64(p + 48);
   out.deliver_at = 0.0;
-  out.value.resize(count);
+  payload.resize(count);
   if (codec) {
     const std::uint8_t* q = p + 4 + kWireHeaderBytes + kCodecSubheaderBytes;
     if (quant_bits == 8) {
       for (std::uint32_t i = 0; i < count; ++i)
-        out.value[i] = codec::dequant(quant_min, quant_scale, q[i]);
+        payload[i] = codec::dequant(quant_min, quant_scale, q[i]);
     } else {
       for (std::uint32_t i = 0; i < count; ++i)
-        out.value[i] =
+        payload[i] =
             codec::dequant(quant_min, quant_scale, get_u16(q + 2ull * i));
     }
   } else {
-    const std::uint8_t* payload = p + 4 + kWireHeaderBytes;
+    const std::uint8_t* raw = p + 4 + kWireHeaderBytes;
     if constexpr (std::endian::native == std::endian::little) {
-      if (count > 0) std::memcpy(out.value.data(), payload, 8ull * count);
+      if (count > 0) std::memcpy(payload.data(), raw, 8ull * count);
     } else {
       for (std::uint32_t i = 0; i < count; ++i)
-        out.value[i] = get_f64(payload + 8ull * i);
+        payload[i] = get_f64(raw + 8ull * i);
     }
   }
+  out.value = payload;
   consumed = 4 + std::size_t(length);
   return DecodeStatus::kOk;
 }

@@ -115,15 +115,18 @@ enum class DecodeStatus {
   kBadFrame,  ///< stream corrupt (bad magic/version/length/kind/range)
 };
 
-/// Attempts to decode one frame from the front of `buf` into `out`
-/// (payload assigned into out.value — capacity retained; codec payloads
-/// are dequantized into doubles here, so consumers never see packed
-/// ints). On kOk, `consumed` is set to the number of bytes eaten;
-/// otherwise it is 0. `max_block_doubles` bounds offset+count: a frame
-/// whose coordinate range exceeds the widest block the receiver could
-/// ever incorporate is rejected at decode time.
+/// Attempts to decode one frame from the front of `buf` into `out`. The
+/// payload is written into `payload` (resized; capacity retained) and
+/// out.value views it, so `payload` must outlive every use of `out`;
+/// codec payloads are dequantized into doubles here, so consumers never
+/// see packed ints. out.slab is left untouched. On kOk, `consumed` is set
+/// to the number of bytes eaten; otherwise it is 0. `max_block_doubles`
+/// bounds offset+count: a frame whose coordinate range exceeds the
+/// widest block the receiver could ever incorporate is rejected at
+/// decode time.
 DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
                           std::size_t& consumed, net::Message& out,
+                          std::vector<double>& payload,
                           std::uint32_t max_block_doubles =
                               kMaxPayloadDoubles);
 

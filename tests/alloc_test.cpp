@@ -29,6 +29,8 @@
 #include "asyncit/problems/quadratic.hpp"
 #include "asyncit/runtime/pacing.hpp"
 #include "asyncit/runtime/shared_iterate.hpp"
+#include "asyncit/simnet/transport.hpp"
+#include "asyncit/simnet/world.hpp"
 #include "asyncit/support/rng.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/train/dataset.hpp"
@@ -328,6 +330,7 @@ TEST(AllocationRegression, ChaosWireFramingSteadyStateAllocatesNothing) {
   std::vector<net::Message> inbox;
   std::vector<std::uint8_t> frame;
   net::Message scratch, decoded;
+  std::vector<double> decoded_payload;
   transport::MessageHeader header;
 
   auto cycle = [&](int count, double base) {
@@ -339,10 +342,10 @@ TEST(AllocationRegression, ChaosWireFramingSteadyStateAllocatesNothing) {
       e1.receive(now + 1.0, inbox);    // mature everything
       e1.recycle(inbox);
       // Wire framing round trip with reused buffers.
-      scratch.value.assign(payload.begin(), payload.end());
+      scratch.value = payload;
       transport::encode_frame(scratch, frame);
       std::size_t consumed = 0;
-      transport::decode_frame(frame, consumed, decoded);
+      transport::decode_frame(frame, consumed, decoded, decoded_payload);
     }
   };
 
@@ -412,6 +415,144 @@ TEST(AllocationRegression, PsgdDeltaRoundTripSteadyStateAllocatesNothing) {
   EXPECT_FALSE(worker.finished());
   EXPECT_GE(server.deltas_applied(), 400u);
   EXPECT_GE(server.last_accuracy(), 0.0) << "eval never ran in the window";
+}
+
+/// Forwards block updates to `inner` and samples the global allocation
+/// counter at the `open`-th and `close`-th update, so a whole simulated
+/// world is measured from inside its own steady state (simnet runs every
+/// rank on one thread: every allocation in the window is the world's).
+class AllocWindowOperator final : public op::BlockOperator {
+ public:
+  AllocWindowOperator(const op::BlockOperator& inner, std::uint64_t open,
+                      std::uint64_t close)
+      : inner_(inner), open_(open), close_(close) {}
+
+  const la::Partition& partition() const override {
+    return inner_.partition();
+  }
+  void apply_block(la::BlockId b, std::span<const double> x,
+                   std::span<double> out, op::Workspace& ws) const override {
+    const std::uint64_t n = calls_++;
+    if (n == open_) at_open_ = allocations();
+    if (n == close_) at_close_ = allocations();
+    inner_.apply_block(b, x, out, ws);
+  }
+  std::string name() const override { return "alloc-window"; }
+
+  bool closed() const { return calls_ > close_; }
+  std::uint64_t allocated() const { return at_close_ - at_open_; }
+
+ private:
+  const op::BlockOperator& inner_;
+  const std::uint64_t open_, close_;
+  mutable std::uint64_t calls_ = 0;
+  mutable std::uint64_t at_open_ = 0, at_close_ = 0;
+};
+
+/// A gated (SSP or BSP) 4-rank Jacobi world over simnet that never meets
+/// its tolerance: the whole peer loop — gate waits, round ring, holdback,
+/// publish fan-out, drain, incorporate, recycle — runs to the virtual
+/// budget, and the window covers updates 4000..12000.
+std::uint64_t gated_world_allocations(net::Mode mode) {
+  Rng rng(8);
+  auto sys = problems::make_diagonally_dominant_system(64, 4, 2.0, rng);
+  op::JacobiOperator jac(sys.a, sys.b, la::Partition::balanced(64, 16));
+  AllocWindowOperator window(jac, 4000, 12000);
+  simnet::WorldOptions o;
+  o.mp.workers = 4;
+  o.mp.seed = 8;
+  o.mp.solve.mode = mode;
+  o.mp.solve.staleness = 2;
+  o.mp.solve.tol = 1e-300;  // never met: the budget ends the run
+  o.mp.solve.x_star = la::zeros(64);
+  o.mp.solve.max_seconds = 1.0;  // virtual
+  o.mp.solve.max_updates = 100000000;
+  o.sim.topology.latency = 2e-4;
+  o.sim.topology.jitter = 0.5;
+  o.sim.compute.phase = 1e-4;
+  o.sim.compute.jitter = 0.3;
+  simnet::run_world(window, la::zeros(64), o);
+  EXPECT_TRUE(window.closed()) << "the world stopped before the window";
+  return window.allocated();
+}
+
+TEST(AllocationRegression, SspPeerLoopSteadyStateAllocatesNothing) {
+  EXPECT_EQ(gated_world_allocations(net::Mode::kSsp), 0u)
+      << "SSP peer loop allocated (round ring / gate / publish path)";
+}
+
+TEST(AllocationRegression, BspPeerLoopSteadyStateAllocatesNothing) {
+  EXPECT_EQ(gated_world_allocations(net::Mode::kBsp), 0u)
+      << "BSP peer loop allocated (holdback / round ring / publish path)";
+}
+
+/// Publish fan-outs from rank 0 to ranks 1..7: full frames, a delta
+/// window, a heartbeat and a frame with its own (codec-style) payload;
+/// every destination drains and recycles after each publish.
+struct FanOut {
+  la::Vector base = la::Vector(16, 0.5);
+  la::Vector own = la::Vector(4, 0.25);
+  std::vector<transport::Frame> frames;
+  std::vector<transport::SendReceipt> receipts =
+      std::vector<transport::SendReceipt>(7);
+  std::vector<net::Message> inbox;
+
+  FanOut() {
+    inbox.reserve(64);
+    for (std::uint32_t dst = 1; dst <= 7; ++dst) {
+      transport::Frame f;
+      f.dst = dst;
+      f.value = dst == 2   ? std::span<const double>(base).subspan(3, 5)
+                : dst == 3 ? std::span<const double>()
+                : dst == 4 ? std::span<const double>(own)
+                           : std::span<const double>(base);
+      frames.push_back(f);
+    }
+  }
+
+  template <class Fabric>
+  void run(Fabric& tx, int count, double t0) {
+    for (int i = 0; i < count; ++i) {
+      const double now = t0 + 1e-3 * i;
+      for (transport::Frame& f : frames)
+        f.header.tag = static_cast<model::Step>(i + 1);
+      tx.endpoint(0).publish(base, frames, now, /*allow_drop=*/true,
+                             receipts);
+      for (std::uint32_t dst = 1; dst <= 7; ++dst) {
+        tx.endpoint(dst).receive(now + 1.0, inbox);
+        tx.endpoint(dst).recycle(inbox);
+      }
+    }
+  }
+};
+
+TEST(AllocationRegression, SimnetPublishFanOutAllocatesNothing) {
+  simnet::SimConfig cfg;
+  cfg.topology.latency = 1e-4;
+  cfg.topology.jitter = 0.5;
+  cfg.topology.drop_prob = 0.1;
+  simnet::SimTransport tx(8, cfg, 5, /*engine=*/nullptr);  // passive
+  FanOut fan;
+  fan.run(tx, 200, 0.0);  // warm-up: slab pool, pending queues, windows
+  const std::uint64_t before = allocations();
+  fan.run(tx, 400, 10.0);
+  const std::uint64_t during = allocations() - before;
+  EXPECT_EQ(during, 0u) << "steady-state simnet publish fan-out allocated";
+  EXPECT_EQ(tx.slabs_outstanding(), 0u);
+}
+
+TEST(AllocationRegression, InprocPublishFanOutAllocatesNothing) {
+  net::DeliveryPolicy policy;
+  policy.max_latency = 1e-4;
+  policy.drop_prob = 0.1;
+  transport::InprocTransport tx(8, policy, 5);
+  FanOut fan;
+  fan.run(tx, 200, 0.0);  // warm-up: slab pool, mailboxes, windows
+  const std::uint64_t before = allocations();
+  fan.run(tx, 400, 10.0);
+  const std::uint64_t during = allocations() - before;
+  EXPECT_EQ(during, 0u) << "steady-state inproc publish fan-out allocated";
+  EXPECT_EQ(tx.slabs_outstanding(), 0u);
 }
 
 TEST(AllocationRegression, ThreadWorkspaceConvenienceWarmsUpToo) {

@@ -198,11 +198,12 @@ TEST(GossipCodec, RoundTripsAndRejectsMalformed) {
     EXPECT_EQ(out[i].incarnation, in[i].incarnation);
   }
 
-  EXPECT_FALSE(decode_gossip({1.0, 0.0}, 4, out));        // arity
-  EXPECT_FALSE(decode_gossip({4.0, 0.0, 0.0}, 4, out));   // rank range
-  EXPECT_FALSE(decode_gossip({1.0, 3.0, 0.0}, 4, out));   // kUnknown on wire
-  EXPECT_FALSE(decode_gossip({1.5, 0.0, 0.0}, 4, out));   // non-integral
-  EXPECT_FALSE(decode_gossip({1.0, 0.0, -1.0}, 4, out));  // negative
+  using V = std::vector<double>;
+  EXPECT_FALSE(decode_gossip(V{1.0, 0.0}, 4, out));        // arity
+  EXPECT_FALSE(decode_gossip(V{4.0, 0.0, 0.0}, 4, out));   // rank range
+  EXPECT_FALSE(decode_gossip(V{1.0, 3.0, 0.0}, 4, out));   // kUnknown on wire
+  EXPECT_FALSE(decode_gossip(V{1.5, 0.0, 0.0}, 4, out));   // non-integral
+  EXPECT_FALSE(decode_gossip(V{1.0, 0.0, -1.0}, 4, out));  // negative
 }
 
 // ------------------------------------- the agent, on a virtual clock
@@ -244,7 +245,7 @@ class AgentHarness {
           m.kind = f.kind;
           m.block = f.target;
           m.tag = f.seq;
-          m.value.assign(f.payload.begin(), f.payload.end());
+          m.value = f.payload;
           agents_[f.dst]->on_frame(m, now);
         }
       }

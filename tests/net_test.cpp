@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 
+#include "asyncit/linalg/norms.hpp"
 #include "asyncit/net/channel.hpp"
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/net/peer.hpp"
@@ -127,12 +129,13 @@ class IncorporateTest : public ::testing::Test {
     Message m;
     m.block = 0;
     m.tag = tag;
-    m.value = {v, v};
+    m.value = payloads_.emplace_back(la::Vector{v, v});
     return m;
   }
 
   la::Partition partition_;
   LocalView view_;
+  std::deque<la::Vector> payloads_;  ///< storage the messages view
 };
 
 TEST_F(IncorporateTest, LastArrivalWinsSuffersLabelInversions) {
@@ -243,6 +246,24 @@ TEST_F(MpRuntimeFixture, ConvergenceParityWithSharedMemoryRuntime) {
   auto mp = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()), opt);
   ASSERT_TRUE(mp.converged);
   EXPECT_LT(la::dist_inf(mp.x, shared.x), 1e-7);
+}
+
+TEST_F(MpRuntimeFixture, ReportsTheCertifiedStopAndItsDrift) {
+  // converged/final_error describe the snapshot the oracle certified; x
+  // is the state after the join, and post_stop_drift is how far the
+  // wind-down moved it. Last-arrival-wins over non-FIFO links is the
+  // regime where late, stale arrivals can regress the joined state.
+  MpOptions opt = base_options();
+  opt.solve.overwrite = OverwritePolicy::kLastArrivalWins;
+  const auto r = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()),
+                                          opt);
+  ASSERT_TRUE(r.converged) << "error " << r.final_error;
+  EXPECT_LT(r.final_error, opt.solve.tol);
+  EXPECT_GE(r.post_stop_drift, 0.0);
+  const la::WeightedMaxNorm norm{partition_};
+  // The triangle inequality ties the three reported numbers together.
+  EXPECT_LE(norm.distance(r.x, x_star_),
+            r.final_error + r.post_stop_drift + 1e-15);
 }
 
 TEST_F(MpRuntimeFixture, QuadraticParityWithSharedMemoryRuntime) {

@@ -18,6 +18,7 @@
 
 #include "asyncit/linalg/norms.hpp"
 #include "asyncit/net/mp_runtime.hpp"
+#include "asyncit/net/node_runtime.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/operators/jacobi.hpp"
 #include "asyncit/problems/linear_system.hpp"
@@ -315,6 +316,157 @@ TEST(BackendParity, ScriptedSendsDrainInTheSameOrderAsInproc) {
   }
   inproc.endpoint(0).recycle(got_inproc);
   sim.endpoint(0).recycle(got_sim);
+}
+
+// ------------------------------------------- publish == ordered sends
+
+/// Every frame shape a publish can carry, to repeated destinations: full
+/// windows of the base, a delta window, a heartbeat, a codec frame with
+/// its own payload (quantization params drive simnet's serialization
+/// cost), and a payload-less control frame.
+struct FanOutScript {
+  la::Vector base;
+  la::Vector codec = {0.5, 0.25, 0.125};
+
+  FanOutScript() : base(16) {
+    for (std::size_t i = 0; i < base.size(); ++i) base[i] = 0.1 * double(i);
+  }
+
+  std::vector<transport::Frame> frames(std::uint64_t tag) const {
+    std::vector<transport::Frame> out;
+    auto add = [&](std::uint32_t dst, std::span<const double> v) {
+      transport::Frame& f = out.emplace_back();
+      f.dst = dst;
+      f.header = value_header(tag);
+      f.header.round = tag;
+      f.value = v;
+    };
+    add(1, base);
+    add(2, std::span<const double>(base).subspan(3, 5));
+    out.back().header.offset = 3;
+    out.back().header.partial = true;
+    out.back().header.complete = true;
+    add(3, {});  // heartbeat
+    out.back().header.partial = true;
+    add(4, codec);
+    out.back().header.quant_bits = 16;
+    out.back().header.quant_min = 0.125;
+    out.back().header.quant_scale = 0.375 / 65535.0;
+    add(1, base);  // a second frame on an already-used link
+    add(2, {});
+    out.back().header.kind = net::MsgKind::kStop;
+    return out;
+  }
+};
+
+/// What a destination saw: headers, timing and the payload bytes.
+struct Delivery {
+  std::uint32_t dst, src;
+  std::uint64_t tag, round;
+  std::uint32_t offset;
+  bool partial, complete;
+  net::MsgKind kind;
+  double t_send, deliver_at;
+  std::vector<double> payload;
+  bool operator==(const Delivery&) const = default;
+};
+
+/// Drives rank 0 through 40 fan-outs, either as publish() calls or as
+/// the same frames passed to send() in order, then drains every rank.
+template <class Fabric>
+std::pair<std::vector<transport::SendReceipt>, std::vector<Delivery>>
+drive_fan_out(Fabric& fabric, std::uint32_t world, bool publish) {
+  const FanOutScript script;
+  std::vector<transport::SendReceipt> receipts;
+  for (std::uint64_t tag = 0; tag < 40; ++tag) {
+    const double now = 1e-3 * double(tag);
+    const std::vector<transport::Frame> frames = script.frames(tag);
+    if (publish) {
+      std::vector<transport::SendReceipt> r(frames.size());
+      fabric.endpoint(0).publish(script.base, frames, now,
+                                 /*allow_drop=*/true, r);
+      receipts.insert(receipts.end(), r.begin(), r.end());
+    } else {
+      for (const transport::Frame& f : frames)
+        receipts.push_back(fabric.endpoint(0).send(f.dst, f.header, f.value,
+                                                   now, /*allow_drop=*/true));
+    }
+  }
+  std::vector<Delivery> seen;
+  std::vector<net::Message> got;
+  for (std::uint32_t dst = 1; dst < world; ++dst) {
+    fabric.endpoint(dst).receive(1e9, got);
+    for (const net::Message& m : got)
+      seen.push_back({dst, m.src, m.tag, m.round, m.offset, m.partial,
+                      m.complete, m.kind, m.t_send, m.deliver_at,
+                      std::vector<double>(m.value.begin(), m.value.end())});
+    fabric.endpoint(dst).recycle(got);
+  }
+  return {receipts, seen};
+}
+
+void expect_same_receipts(const std::vector<transport::SendReceipt>& a,
+                          const std::vector<transport::SendReceipt>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sent, b[i].sent) << "frame " << i;
+    EXPECT_EQ(a[i].t_send, b[i].t_send) << "frame " << i;
+    EXPECT_EQ(a[i].deliver_at, b[i].deliver_at) << "frame " << i;
+  }
+}
+
+TEST(PublishParity, SimnetPublishEqualsTheSameFramesSentInOrder) {
+  // The whole publish contract, checked against its definition: same
+  // receipts (draws, drops, partition cuts, serialization latency), same
+  // per-destination delivery order (the (deliver_at, seq) order) and
+  // bit-identical payloads, for every frame shape.
+  SimConfig cfg;
+  cfg.topology.latency = 1e-3;
+  cfg.topology.jitter = 0.7;
+  cfg.topology.drop_prob = 0.2;
+  cfg.topology.bandwidth = 1e6;
+  cfg.topology.partitions.push_back({0.01, 0.02, 2});
+  SimTransport by_publish(5, cfg, 31, nullptr);
+  SimTransport by_send(5, cfg, 31, nullptr);
+  const auto [ra, da] = drive_fan_out(by_publish, 5, /*publish=*/true);
+  const auto [rb, db] = drive_fan_out(by_send, 5, /*publish=*/false);
+  expect_same_receipts(ra, rb);
+  EXPECT_EQ(da, db);
+  EXPECT_GT(by_publish.partition_dropped(), 0u);
+  EXPECT_GT(by_publish.endpoint(0).dropped(),
+            by_publish.partition_dropped());  // the loss model fired too
+  // One copy of the base per publish (plus the codec frame's own
+  // payload when it leaves), never one per destination — the per-frame
+  // path copies every frame that leaves.
+  const FanOutScript script;
+  const std::size_t per_publish = script.frames(0).size();
+  std::size_t codec_sent = 0;
+  for (std::size_t i = 3; i < ra.size(); i += per_publish)
+    codec_sent += ra[i].sent;  // frame 3 carries the codec payload
+  EXPECT_EQ(by_publish.payload_doubles_copied(),
+            40 * script.base.size() + codec_sent * script.codec.size());
+  EXPECT_GT(by_send.payload_doubles_copied(),
+            by_publish.payload_doubles_copied());
+  EXPECT_EQ(by_publish.slabs_outstanding(), 0u);
+  EXPECT_EQ(by_send.slabs_outstanding(), 0u);
+}
+
+TEST(PublishParity, InprocPublishEqualsTheSameFramesSentInOrder) {
+  // Scripted from one thread over inproc: seeded per-link latency and
+  // drop streams — publish must consume them exactly as ordered sends.
+  net::DeliveryPolicy policy;
+  policy.min_latency = 0.0;
+  policy.max_latency = 2e-3;
+  policy.drop_prob = 0.2;
+  transport::InprocTransport by_publish(5, policy, 31);
+  transport::InprocTransport by_send(5, policy, 31);
+  const auto [ra, da] = drive_fan_out(by_publish, 5, /*publish=*/true);
+  const auto [rb, db] = drive_fan_out(by_send, 5, /*publish=*/false);
+  expect_same_receipts(ra, rb);
+  EXPECT_EQ(da, db);
+  EXPECT_GT(by_publish.endpoint(0).dropped(), 0u);
+  EXPECT_EQ(by_publish.slabs_outstanding(), 0u);
+  EXPECT_EQ(by_send.slabs_outstanding(), 0u);
 }
 
 // ------------------------------------------------------ trace clock hook
@@ -682,6 +834,235 @@ TEST_F(SimWorldFixture, StragglersStretchVirtualTimeDeterministically) {
   // Totally asynchronous: the fast ranks keep iterating, the world
   // still converges, and the straggler's cost shows up as virtual time.
   EXPECT_GT(skewed.virtual_seconds, uniform.virtual_seconds);
+}
+
+// ------------------------------------------------ pinned replay goldens
+
+/// The replay fingerprint of one small world. Recorded on the transport
+/// that copied every payload once per destination: publishing by
+/// reference must not move a single draw, wake or delivery, so every
+/// field — the event-log hash above all — stays exactly these values.
+struct Fingerprint {
+  const char* name;
+  std::uint64_t log_hash, events, sent, delivered, dropped, updates;
+  std::uint64_t bytes_raw, bytes_wire, frames_full;
+};
+
+/// bytes_wire of a LOSSLESS delta world is not pinned: each delta range
+/// spans the coordinates that changed bitwise, which follows the
+/// kernel's floating-point rounding (SIMD level, optimization level).
+/// Which frames are full refreshes does not, so frames_full is pinned.
+constexpr std::uint64_t kRoundingDependent = ~std::uint64_t{0};
+
+TEST_F(SimWorldFixture, ReplayFingerprintsMatchThePinnedGoldens) {
+  auto config = [&](const std::string& name) {
+    WorldOptions o = base_world(4);
+    if (name == "async_delta") {
+      o.mp.wire.delta = true;
+      o.mp.wire.refresh_every = 8;
+    } else if (name == "async_topk_quant") {
+      o.mp.solve.tol = 1e-3;
+      o.mp.wire.delta = true;
+      o.mp.wire.topk = 4;
+      o.mp.wire.quant_bits = 16;
+      o.mp.wire.refresh_every = 4;
+      o.sim.topology.bandwidth = 1e6;
+    } else if (name == "ssp") {
+      o.mp.solve.mode = net::Mode::kSsp;
+      o.mp.solve.staleness = 2;
+    } else if (name == "bsp") {
+      o.mp.solve.mode = net::Mode::kBsp;
+    } else if (name == "partition_drop") {
+      o.sim.topology.partitions.push_back({0.0, 0.05, 2});
+      o.sim.topology.drop_prob = 0.05;
+    } else if (name == "chaos") {
+      o.chaos = true;
+      o.chaos_policy.min_latency = 2e-4;
+      o.chaos_policy.max_latency = 2e-3;
+      o.mp.solve.tol = 1e-8;
+    } else if (name == "delta16_drop") {
+      o.mp.workers = 16;
+      o.sim.topology.drop_prob = 0.1;
+      o.mp.wire.delta = true;
+      o.mp.wire.refresh_every = 4;
+    } else if (name == "swim") {
+      o.mp.membership.enabled = true;
+      o.mp.membership.probe_busy_members = true;
+      o.mp.membership.ping_period = 5e-4;
+      o.mp.membership.ping_timeout = 2e-3;
+      o.mp.membership.suspicion_timeout = 0.05;
+    }
+    return o;
+  };
+  const Fingerprint golden[] = {
+      {"async", 0x8a5f9aea32660088ull, 560, 1356, 1137, 0, 448, 161280,
+       161280, 1344},
+      {"async_delta", 0x8a5f9aea32660088ull, 560, 1356, 1137, 0, 448, 161280,
+       kRoundingDependent, 168},
+      {"async_topk_quant", 0x49e873e825b15a76ull, 320, 780, 729, 0, 256,
+       92160, 71424, 192},
+      {"ssp", 0x4f2d1b9a7a430de0ull, 380, 777, 740, 0, 256, 92160, 92160,
+       768},
+      {"bsp", 0x7154fbcb8cbbbee4ull, 756, 1548, 1488, 0, 512, 184320,
+       184320, 1536},
+      {"partition_drop", 0x58107ca32bf8ca05ull, 2560, 6156, 2783, 3335, 2048,
+       737280, 737280, 6144},
+      {"chaos", 0x62b809d9712126ecull, 1280, 3084, 2941, 0, 1024, 368640,
+       368640, 3072},
+      {"delta16_drop", 0xdf3d1b002aae213dull, 2048, 15600, 13499, 1588, 1024,
+       1843200, kRoundingDependent, 3932},
+      {"swim", 0x5a39f4b866bd3115ull, 640, 1804, 1760, 0, 512, 184320,
+       184320, 1536},
+  };
+  for (const Fingerprint& g : golden) {
+    const WorldResult r =
+        run_world(*jacobi_, la::zeros(sys_.dim()), config(g.name));
+    std::uint64_t raw = 0, wire = 0, full = 0;
+    for (const net::MpResult& rank : r.ranks) {
+      raw += rank.bytes_sent_raw;
+      wire += rank.bytes_sent_wire;
+      full += rank.wire_frames_full;
+    }
+    EXPECT_EQ(r.log_hash, g.log_hash) << g.name;
+    EXPECT_EQ(r.events, g.events) << g.name;
+    EXPECT_EQ(r.messages_sent, g.sent) << g.name;
+    EXPECT_EQ(r.messages_delivered, g.delivered) << g.name;
+    EXPECT_EQ(r.messages_dropped, g.dropped) << g.name;
+    EXPECT_EQ(r.total_updates, g.updates) << g.name;
+    EXPECT_EQ(raw, g.bytes_raw) << g.name;
+    EXPECT_EQ(full, g.frames_full) << g.name;
+    if (g.bytes_wire == kRoundingDependent)
+      EXPECT_LT(wire, raw) << g.name;  // the delta layer engaged
+    else
+      EXPECT_EQ(wire, g.bytes_wire) << g.name;
+  }
+}
+
+TEST(SimTrainWorld, ReplayFingerprintsMatchThePinnedGoldens) {
+  // The PSGD server publishes its model to every worker in one fan-out;
+  // pinned against the per-destination-copy transport like the solve
+  // worlds above (server-side counters).
+  problems::LogisticConfig dcfg;
+  dcfg.samples = 240;
+  dcfg.features = 48;
+  dcfg.density = 0.3;
+  dcfg.separation = 3.0;
+  dcfg.label_noise = 0.0;
+  dcfg.ridge = 0.01;
+  const train::Dataset data = train::make_synthetic_dataset(dcfg, 7);
+  struct Golden {
+    train::Discipline discipline;
+    std::uint64_t log_hash, events, sent, delivered, versions, deltas;
+  };
+  const Golden golden[] = {
+      {train::Discipline::kTap, 0x2ac944c7acc62552ull, 33, 11, 9, 8, 8},
+      {train::Discipline::kSsp, 0xbf1dba3d577f6bd9ull, 62, 15, 20, 20, 20},
+      {train::Discipline::kBsp, 0x9d7e99a547de7a22ull, 119, 27, 24, 8, 24},
+  };
+  for (const Golden& g : golden) {
+    TrainWorldOptions o;
+    o.train.workers = 3;
+    o.train.seed = 7;
+    o.train.sgd.discipline = g.discipline;
+    o.train.sgd.learning_rate = 0.5;
+    o.train.sgd.batch_size = 16;
+    o.train.sgd.max_epochs = 1000000;
+    o.train.sgd.max_seconds = 300.0;  // virtual
+    o.train.sgd.target_accuracy = 0.95;
+    o.train.sgd.eval_every = 4;
+    o.train.sgd.staleness = 2;
+    o.sim.topology.latency = 2e-4;
+    o.sim.compute.phase = 1e-4;
+    const TrainWorldResult r =
+        run_train_world(data, la::zeros(data.features()), o);
+    const int d = static_cast<int>(g.discipline);
+    EXPECT_EQ(r.log_hash, g.log_hash) << "discipline " << d;
+    EXPECT_EQ(r.events, g.events) << "discipline " << d;
+    EXPECT_EQ(r.ranks[0].messages_sent, g.sent) << "discipline " << d;
+    EXPECT_EQ(r.ranks[0].messages_delivered, g.delivered)
+        << "discipline " << d;
+    EXPECT_EQ(r.ranks[0].versions, g.versions) << "discipline " << d;
+    EXPECT_EQ(r.ranks[0].deltas_applied, g.deltas) << "discipline " << d;
+  }
+}
+
+// --------------------------------------------------- payload lifetimes
+
+TEST_F(SimWorldFixture, EveryPayloadSlabIsHomeAfterQuiesce) {
+  // Each slab must return to its sender's pool once every frame of its
+  // publish is consumed — whatever became of the frames: dropped by the
+  // loss model, cut by a partition, rejected by the receiver, held back
+  // by BSP, or carrying a codec payload. An extra rank (outside the
+  // solve's world) publishes frames every peer must reject.
+  auto lossy = base_world(4);
+  lossy.mp.solve.tol = 1e-3;
+  lossy.mp.solve.max_seconds = 0.2;
+  lossy.mp.wire.delta = true;
+  lossy.mp.wire.topk = 4;
+  lossy.mp.wire.quant_bits = 8;
+  lossy.mp.wire.refresh_every = 4;
+  lossy.sim.topology.drop_prob = 0.2;
+  lossy.sim.topology.partitions.push_back({0.0, 0.01, 2});
+  // BSP with stragglers, stopped by its virtual budget: the fast ranks
+  // wait at the gate holding back each other's next-round frames, and
+  // exit still holding them.
+  auto bsp = base_world(4);
+  bsp.mp.solve.mode = net::Mode::kBsp;
+  bsp.sim.compute.straggler_every = 2;
+  bsp.sim.compute.straggler_factor = 3.0;
+  bsp.mp.wire.delta = true;
+  bsp.mp.wire.quant_bits = 16;
+  bsp.mp.solve.tol = 1e-300;
+  bsp.mp.solve.max_seconds = 0.05;
+  for (const WorldOptions& o : {lossy, bsp}) {
+    const std::uint32_t workers = static_cast<std::uint32_t>(o.mp.workers);
+    SimEngine engine;
+    SimTransport fabric(workers + 1, o.sim, o.mp.seed, &engine);
+    SimClock clock(&engine);
+    net::MpOptions per_rank = o.mp;
+    per_rank.obs.link_delays = false;
+    std::vector<net::MpResult> results(workers);
+    for (std::uint32_t r = 0; r < workers; ++r)
+      engine.spawn(r, [&, r] {
+        results[r] = net::run_node(*jacobi_, la::zeros(sys_.dim()), per_rank,
+                                   fabric.endpoint(r), clock);
+      });
+    engine.spawn(workers, [&] {
+      const la::Vector payload(8, 1.0);
+      std::vector<transport::Frame> frames(workers);
+      std::vector<transport::SendReceipt> receipts(workers);
+      for (std::uint32_t dst = 0; dst < workers; ++dst)
+        frames[dst] = {dst, value_header(1), payload};
+      for (int k = 0; k < 20; ++k) {
+        fabric.endpoint(workers).publish(payload, frames, engine.now(),
+                                         /*allow_drop=*/false, receipts);
+        engine.advance(1e-3);
+      }
+    });
+    engine.run();
+    // Quiesce: whatever is still in flight is drained and consumed.
+    std::vector<net::Message> got;
+    for (std::uint32_t r = 0; r <= workers; ++r) {
+      fabric.endpoint(r).receive(1e9, got);
+      fabric.endpoint(r).recycle(got);
+    }
+    EXPECT_EQ(fabric.slabs_outstanding(), 0u)
+        << "mode " << static_cast<int>(o.mp.solve.mode);
+    std::uint64_t rejected = 0, codec = 0;
+    for (const net::MpResult& r : results) {
+      rejected += r.frames_rejected;
+      codec += r.wire_frames_codec;
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(codec, 0u);
+    if (o.mp.solve.mode == net::Mode::kAsync) {
+      EXPECT_GT(fabric.partition_dropped(), 0u);
+      std::uint64_t dropped = 0;
+      for (std::uint32_t r = 0; r < workers; ++r)
+        dropped += fabric.endpoint(r).dropped();
+      EXPECT_GT(dropped, fabric.partition_dropped());  // the loss model too
+    }
+  }
 }
 
 }  // namespace

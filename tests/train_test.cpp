@@ -122,8 +122,9 @@ TEST(DeltaFrame, WireRoundTripPreservesClockAndSupport) {
   ASSERT_EQ(bytes.size(), transport::frame_bytes(payload.size()));
 
   net::Message out;
+  std::vector<double> out_payload;
   std::size_t consumed = 0;
-  ASSERT_EQ(transport::decode_frame(bytes, consumed, out),
+  ASSERT_EQ(transport::decode_frame(bytes, consumed, out, out_payload),
             transport::DecodeStatus::kOk);
   EXPECT_EQ(consumed, bytes.size());
   EXPECT_EQ(out.src, 2u);

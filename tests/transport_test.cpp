@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <thread>
 
@@ -37,7 +38,10 @@ namespace {
 
 // ------------------------------------------------------------------ wire
 
-net::Message random_message(Rng& rng, std::size_t payload) {
+/// A random message whose payload is written into `storage` (the
+/// message's value only views it, so `storage` must outlive the message).
+net::Message random_message(Rng& rng, std::size_t payload,
+                            std::vector<double>& storage) {
   net::Message m;
   m.src = static_cast<std::uint32_t>(rng.uniform_index(64));
   m.block = static_cast<la::BlockId>(rng.uniform_index(1024));
@@ -51,9 +55,23 @@ net::Message random_message(Rng& rng, std::size_t payload) {
   m.offset = static_cast<std::uint32_t>(rng.uniform_index(32));
   m.injected_delay = rng.uniform(0.0, 0.5);
   m.t_send = rng.uniform(0.0, 100.0);
-  m.value.resize(payload);
-  for (double& v : m.value) v = rng.normal();
+  storage.resize(payload);
+  for (double& v : storage) v = rng.normal();
+  m.value = storage;
   return m;
+}
+
+/// A decode target: the message plus the storage its payload views.
+struct Decoded : net::Message {
+  std::vector<double> payload;
+};
+
+DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
+                          std::size_t& consumed, Decoded& out,
+                          std::uint32_t max_block_doubles =
+                              kMaxPayloadDoubles) {
+  return transport::decode_frame(buf, consumed, out, out.payload,
+                                 max_block_doubles);
 }
 
 void expect_equal(const net::Message& a, const net::Message& b) {
@@ -74,15 +92,16 @@ void expect_equal(const net::Message& a, const net::Message& b) {
 
 TEST(Wire, RoundTripsRandomizedMessages) {
   Rng rng(11);
+  std::vector<double> storage;
   std::vector<std::uint8_t> frame;
-  net::Message out;
+  Decoded out;
   // Empty payloads (control frames), single coordinates, unroll-tail
   // sizes, and a max-size block all survive the trip bit-exactly.
   for (const std::size_t payload :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{128},
         std::size_t{4096}}) {
     for (int rep = 0; rep < 20; ++rep) {
-      const net::Message m = random_message(rng, payload);
+      const net::Message m = random_message(rng, payload, storage);
       encode_frame(m, frame);
       EXPECT_EQ(frame.size(), frame_bytes(payload));
       std::size_t consumed = 0;
@@ -95,7 +114,8 @@ TEST(Wire, RoundTripsRandomizedMessages) {
 
 TEST(Wire, HeaderOverloadMatchesMessageOverload) {
   Rng rng(12);
-  const net::Message m = random_message(rng, 17);
+  std::vector<double> storage;
+  const net::Message m = random_message(rng, 17, storage);
   std::vector<std::uint8_t> a, b;
   encode_frame(m, a);
   MessageHeader h;
@@ -112,10 +132,11 @@ TEST(Wire, HeaderOverloadMatchesMessageOverload) {
 
 TEST(Wire, TruncatedFramesWantMoreBytes) {
   Rng rng(13);
-  const net::Message m = random_message(rng, 9);
+  std::vector<double> storage;
+  const net::Message m = random_message(rng, 9, storage);
   std::vector<std::uint8_t> frame;
   encode_frame(m, frame);
-  net::Message out;
+  Decoded out;
   std::size_t consumed = 1;
   // Every strict prefix is "incomplete", never "corrupt" — a reader
   // keeps its reassembly buffer and waits for the rest of the frame.
@@ -129,9 +150,10 @@ TEST(Wire, TruncatedFramesWantMoreBytes) {
 
 TEST(Wire, RejectsGarbageFrames) {
   Rng rng(14);
-  const net::Message m = random_message(rng, 5);
+  std::vector<double> storage;
+  const net::Message m = random_message(rng, 5, storage);
   std::vector<std::uint8_t> frame;
-  net::Message out;
+  Decoded out;
   std::size_t consumed = 0;
 
   encode_frame(m, frame);
@@ -163,16 +185,17 @@ TEST(Wire, RejectsGarbageFrames) {
 
 TEST(Wire, DecodesBackToBackFramesFromOneBuffer) {
   Rng rng(15);
+  std::deque<std::vector<double>> storage;
   std::vector<std::uint8_t> stream, frame;
   std::vector<net::Message> sent;
   for (int i = 0; i < 5; ++i) {
-    sent.push_back(random_message(rng, 3 + i));
+    sent.push_back(random_message(rng, 3 + i, storage.emplace_back()));
     encode_frame(sent.back(), frame);
     stream.insert(stream.end(), frame.begin(), frame.end());
   }
   std::size_t off = 0;
   for (int i = 0; i < 5; ++i) {
-    net::Message out;
+    Decoded out;
     std::size_t consumed = 0;
     ASSERT_EQ(decode_frame(std::span<const std::uint8_t>(
                                stream.data() + off, stream.size() - off),
@@ -234,17 +257,18 @@ TEST(Codec, BestWindowCoversTheDensestChange) {
 
 TEST(Wire, CodecFramesRoundTripToTheExactLattice) {
   Rng rng(92);
+  std::vector<double> storage;
   std::vector<std::uint8_t> frame;
-  net::Message out;
+  Decoded out;
   for (const unsigned bits : {8u, 16u}) {
-    net::Message m = random_message(rng, 24);
+    net::Message m = random_message(rng, 24, storage);
     m.kind = net::MsgKind::kValue;
     // Sender-side contract: the payload is roundtripped onto the
     // quantization lattice BEFORE encoding, so the wire trip is lossless
     // relative to what the sender believes it shipped.
     const codec::QuantParams p =
         codec::choose_quant_params(m.value, bits);
-    codec::roundtrip(m.value, p, bits);
+    codec::roundtrip(storage, p, bits);
     MessageHeader h;
     h.block = m.block;
     h.tag = m.tag;
@@ -269,10 +293,11 @@ TEST(Wire, CodecFramesRoundTripToTheExactLattice) {
 
 TEST(Wire, CompleteFlagSurvivesTheRoundTrip) {
   Rng rng(93);
+  std::vector<double> storage;
   std::vector<std::uint8_t> frame;
-  net::Message out;
+  Decoded out;
   for (const bool complete : {false, true}) {
-    net::Message m = random_message(rng, 7);
+    net::Message m = random_message(rng, 7, storage);
     m.partial = true;
     m.complete = complete;
     encode_frame(m, frame);
@@ -284,11 +309,12 @@ TEST(Wire, CompleteFlagSurvivesTheRoundTrip) {
 
 TEST(Wire, RejectsFramesBeyondTheConfiguredBlockBound) {
   Rng rng(94);
-  net::Message m = random_message(rng, 16);
+  std::vector<double> storage;
+  net::Message m = random_message(rng, 16, storage);
   m.offset = 8;
   std::vector<std::uint8_t> frame;
   encode_frame(m, frame);
-  net::Message out;
+  Decoded out;
   std::size_t consumed = 0;
   // Inside the bound: fine. offset 8 + count 16 = 24.
   EXPECT_EQ(decode_frame(frame, consumed, out, 24), DecodeStatus::kOk);
@@ -358,11 +384,12 @@ TEST(WireFuzz, MutatedFramesNeverCrashNorOverreadAndClassifyDeterministically) {
   std::vector<std::uint8_t> statuses[2];
   for (int pass = 0; pass < 2; ++pass) {
     Rng rng(4242);  // same seed both passes: classification must replay
+    std::vector<double> storage;
     std::vector<std::uint8_t> frame;
-    net::Message out;
+    Decoded out;
     for (int iter = 0; iter < kIterations; ++iter) {
       const net::Message m =
-          random_message(rng, rng.uniform_index(64));
+          random_message(rng, rng.uniform_index(64), storage);
       encode_frame(m, frame);
       const std::vector<std::uint8_t> fuzzed =
           mutate_frame(rng, frame, static_cast<int>(rng.uniform_index(5)));
@@ -397,7 +424,7 @@ TEST(WireFuzz, MutatedFramesNeverCrashNorOverreadAndClassifyDeterministically) {
     }
     // The reserved kind encodings are never accepted, whatever else the
     // fuzzer left in the frame.
-    encode_frame(random_message(rng, 3), frame);
+    encode_frame(random_message(rng, 3, storage), frame);
     for (const std::uint8_t kind : {std::uint8_t{6}, std::uint8_t{7}}) {
       frame[7] = static_cast<std::uint8_t>((frame[7] & 0x01) | (kind << 1));
       std::size_t consumed = 0;
@@ -420,6 +447,7 @@ TEST(WireFuzz, TrainingFrameCorpusSurvivesEveryMutationClass) {
   std::vector<std::uint8_t> statuses[2];
   for (int pass = 0; pass < 2; ++pass) {
     Rng rng(777);
+    std::vector<double> delta_payload(23), params_payload(48);
     std::vector<net::Message> corpus;
     {  // worker -> server delta
       net::Message d;
@@ -430,8 +458,8 @@ TEST(WireFuzz, TrainingFrameCorpusSurvivesEveryMutationClass) {
       d.offset = 17;
       d.tag = 91;     // send sequence
       d.round = 340;  // worker clock
-      d.value.resize(23);
-      for (double& v : d.value) v = rng.normal();
+      for (double& v : delta_payload) v = rng.normal();
+      d.value = delta_payload;
       corpus.push_back(std::move(d));
     }
     {  // server -> worker parameter version
@@ -443,8 +471,8 @@ TEST(WireFuzz, TrainingFrameCorpusSurvivesEveryMutationClass) {
       p.offset = 0;
       p.tag = 57;    // version (newest wins at the worker)
       p.round = 12;  // server round
-      p.value.resize(48);
-      for (double& v : p.value) v = rng.normal();
+      for (double& v : params_payload) v = rng.normal();
+      p.value = params_payload;
       corpus.push_back(std::move(p));
     }
     for (const std::uint32_t src : {std::uint32_t{0}, std::uint32_t{3}}) {
@@ -454,7 +482,7 @@ TEST(WireFuzz, TrainingFrameCorpusSurvivesEveryMutationClass) {
       corpus.push_back(std::move(s));
     }
     std::vector<std::uint8_t> frame;
-    net::Message out;
+    Decoded out;
     for (const net::Message& m : corpus) {
       encode_frame(m, frame);
       {  // the unmutated frame must round-trip bit-exactly
@@ -497,6 +525,7 @@ TEST(WireFuzz, CodecFrameCorpusSurvivesEveryMutationClass) {
   std::vector<std::uint8_t> statuses[2];
   for (int pass = 0; pass < 2; ++pass) {
     Rng rng(888);
+    std::vector<double> storage;
     struct Shape {
       std::size_t payload;
       std::uint32_t offset;
@@ -509,9 +538,9 @@ TEST(WireFuzz, CodecFrameCorpusSurvivesEveryMutationClass) {
         {0, 0, 0, true, true},      // heartbeat (raw, zero-width)
     };
     std::vector<std::uint8_t> frame;
-    net::Message out;
+    Decoded out;
     for (const Shape& s : shapes) {
-      net::Message m = random_message(rng, s.payload);
+      net::Message m = random_message(rng, s.payload, storage);
       m.kind = net::MsgKind::kValue;
       m.offset = s.offset;
       m.partial = s.partial;
@@ -528,7 +557,7 @@ TEST(WireFuzz, CodecFrameCorpusSurvivesEveryMutationClass) {
       if (s.bits != 0) {
         const codec::QuantParams p =
             codec::choose_quant_params(m.value, s.bits);
-        codec::roundtrip(m.value, p, s.bits);
+        codec::roundtrip(storage, p, s.bits);
         h.quant_bits = static_cast<std::uint8_t>(s.bits);
         h.quant_min = p.min;
         h.quant_scale = p.scale;
@@ -616,6 +645,8 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
   };
 
   Rng rng(77);
+
+  std::vector<double> storage;
   std::vector<std::uint8_t> frame;
   std::uint64_t expected_bad = 0;
 
@@ -623,7 +654,7 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
   // the counter is for rejections only.
   {
     const int fd = dial_rank0();
-    net::Message m = random_message(rng, 5);
+    net::Message m = random_message(rng, 5, storage);
     m.kind = net::MsgKind::kValue;
     encode_frame(m, frame);
     send_bytes(fd, frame);
@@ -639,7 +670,7 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
   // be counted exactly once (the reader kills the stream at the first).
   for (int iter = 0; iter < 10; ++iter) {
     const int fd = dial_rank0();
-    net::Message m = random_message(rng, 1 + rng.uniform_index(8));
+    net::Message m = random_message(rng, 1 + rng.uniform_index(8), storage);
     encode_frame(m, frame);
     switch (iter % 5) {
       case 0: frame[4] ^= 0xFF; break;                       // magic
@@ -666,11 +697,11 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
   // corrupt continuation is counted, nothing crashes.
   {
     const int fd = dial_rank0();
-    net::Message good = random_message(rng, 4);
+    net::Message good = random_message(rng, 4, storage);
     good.kind = net::MsgKind::kValue;
     std::vector<std::uint8_t> stream;
     encode_frame(good, stream);
-    encode_frame(random_message(rng, 4), frame);
+    encode_frame(random_message(rng, 4, storage), frame);
     frame[5] ^= 0x40;  // corrupt magic high byte
     stream.insert(stream.end(), frame.begin(), frame.end());
     send_bytes(fd, stream);
@@ -685,20 +716,24 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
 
 // ------------------------------------------------------------------ pools
 
-TEST(Pools, MessagePoolRetainsCapacityAndDropsShells) {
-  MessagePool pool;
-  net::Message m = pool.acquire();
-  m.value.assign(64, 1.0);
-  const double* data = m.value.data();
-  pool.recycle(std::move(m));
-  EXPECT_EQ(pool.pooled(), 1u);
-  net::Message again = pool.acquire();
-  EXPECT_EQ(again.value.data(), data);  // same buffer came back
-  EXPECT_GE(again.value.capacity(), 64u);
-
-  net::Message shell;  // moved-from value: capacity 0
-  pool.recycle(std::move(shell));
-  EXPECT_EQ(pool.pooled(), 0u);  // shells must not poison the pool
+TEST(Pools, SlabPoolRetainsCapacityAndBalancesReferences) {
+  SlabPool pool;
+  PayloadSlab* s = pool.acquire(64);
+  const double* data = s->data.data();
+  retain(s, 2);  // two frames of the publish
+  release(s);    // the publisher's reference
+  EXPECT_EQ(pool.outstanding(), 1u);
+  release(s);
+  EXPECT_EQ(pool.outstanding(), 1u);  // one frame still points into it
+  release(s);
+  EXPECT_EQ(pool.outstanding(), 0u);  // last reference: back home
+  PayloadSlab* again = pool.acquire(16);
+  EXPECT_EQ(again, s);                  // same slab came back
+  EXPECT_EQ(again->data.data(), data);  // capacity retained, no realloc
+  EXPECT_EQ(again->data.size(), 16u);
+  release(again);
+  release(nullptr);  // payload-less frames carry no slab
+  EXPECT_EQ(pool.outstanding(), 0u);
 }
 
 TEST(Pools, BytePoolRecyclesCleared) {
@@ -1086,7 +1121,8 @@ TEST(PartialBlockFrames, IncorporateWritesOnlyTheCarriedRange) {
   m.block = 0;
   m.tag = 1;
   m.offset = 2;
-  m.value = {5.0, 6.0, 7.0};
+  const la::Vector payload{5.0, 6.0, 7.0};
+  m.value = payload;
   net::incorporate(partition, net::OverwritePolicy::kLastArrivalWins, m,
                    view);
   const la::Vector expect{0, 0, 5.0, 6.0, 7.0, 0, 0, 0};
@@ -1133,6 +1169,52 @@ TEST(WireFuzz, SemanticallyInvalidFramesLandInFramesRejected) {
   EXPECT_TRUE(r.converged) << "error " << r.final_error;
   EXPECT_EQ(r.frames_rejected, 4u);
   EXPECT_EQ(r.bad_frames, 0u);  // inproc carries no byte stream to corrupt
+}
+
+TEST(InprocBackend, EveryPayloadSlabIsHomeAfterAThreadedRun) {
+  // Real threads: receivers drop their references on their own threads,
+  // and the last one returns each slab to its SENDER's pool. After the
+  // join — once whatever is still in flight is drained and consumed —
+  // every slab must be home, whatever became of its frames: rejected,
+  // dropped by the loss model, or held back by BSP.
+  Rng rng(32);
+  auto sys = problems::make_diagonally_dominant_system(32, 3, 2.0, rng);
+  op::JacobiOperator jac(sys.a, sys.b, la::Partition::balanced(32, 8));
+  op::Workspace ws;
+  const la::Vector x_star =
+      op::picard_solve(jac, la::zeros(32), 50000, 1e-14, ws);
+  for (const net::Mode mode : {net::Mode::kAsync, net::Mode::kBsp}) {
+    net::MpOptions opt;
+    opt.workers = 4;
+    opt.solve.mode = mode;
+    opt.solve.tol = 1e-8;
+    opt.solve.x_star = x_star;
+    opt.solve.max_seconds = 20.0;
+    if (mode == net::Mode::kBsp) {
+      // Stopped by the update budget mid-round: peers exit holding back
+      // frames of a round they never reached.
+      opt.solve.tol = 1e-300;
+      opt.solve.max_updates = 4000;
+    }
+    net::DeliveryPolicy policy;
+    policy.max_latency = 1e-4;
+    if (mode == net::Mode::kAsync) policy.drop_prob = 0.2;
+    InprocTransport tx(4, policy, 5);
+    MessageHeader h;
+    h.block = 999;  // rejected by every receiver
+    tx.endpoint(0).send(1, h, la::Vector(4, 1.0), 0.0, false);
+    const auto r = net::run_message_passing(jac, la::zeros(32), opt, tx);
+    if (mode == net::Mode::kAsync)
+      EXPECT_TRUE(r.converged) << "error " << r.final_error;
+    EXPECT_EQ(r.frames_rejected, 1u);
+    std::vector<net::Message> got;
+    for (std::uint32_t rank = 0; rank < 4; ++rank) {
+      tx.endpoint(rank).receive(1e9, got);
+      tx.endpoint(rank).recycle(got);
+    }
+    EXPECT_EQ(tx.slabs_outstanding(), 0u)
+        << "mode " << static_cast<int>(mode);
+  }
 }
 
 // ------------------------------------------- cross-backend parity (Jacobi)
