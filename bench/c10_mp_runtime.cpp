@@ -139,16 +139,16 @@ int main() {
   };
   for (const Spread spread :
        {Spread{"narrow", 2e-4, 5e-4}, Spread{"wide", 1e-4, 5e-3}}) {
-    for (const net::OverwritePolicy policy :
-         {net::OverwritePolicy::kLastArrivalWins,
-          net::OverwritePolicy::kNewestTagWins}) {
+    for (const model::OverwritePolicy policy :
+         {model::OverwritePolicy::kLastArrivalWins,
+          model::OverwritePolicy::kNewestTagWins}) {
       net::MpOptions opt = base();
       opt.solve.mode = net::Mode::kAsync;
       opt.chaos.delivery.min_latency = spread.lo;
       opt.chaos.delivery.max_latency = spread.hi;
       opt.solve.overwrite = policy;
       const char* policy_name =
-          policy == net::OverwritePolicy::kNewestTagWins ? "newest_tag"
+          policy == model::OverwritePolicy::kNewestTagWins ? "newest_tag"
                                                          : "last_arrival";
       const net::MpResult r =
           net::run_message_passing(jac, la::zeros(256), opt);

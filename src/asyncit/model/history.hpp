@@ -28,6 +28,18 @@ struct StepRecord {
   MachineId machine = 0;             ///< performer (epoch analysis)
 };
 
+/// Receiver-side incorporation policy for an arriving tagged block
+/// value, shared by the virtual-time simulator (sim::) and the
+/// message-passing runtime (net::).
+enum class OverwritePolicy {
+  /// Incoming value always overwrites the local copy (one-sided put / DMA
+  /// semantics). With non-FIFO links this lets a stale value clobber a
+  /// fresher one: a genuine out-of-order label inversion.
+  kLastArrivalWins,
+  /// Receiver keeps the newest tag (receiver-side filtering).
+  kNewestTagWins,
+};
+
 enum class LabelRecording {
   kMinOnly,  ///< store only l(j) — O(1) per step
   kFull,     ///< store the whole tuple l_1(j)..l_m(j) — O(m) per step

@@ -112,16 +112,6 @@ struct DeliveryPolicy {
   bool drop_control = false;
 };
 
-/// Receiver-side incorporation policy — mirrors sim::OverwritePolicy.
-enum class OverwritePolicy {
-  /// Incoming value always overwrites the local copy (one-sided put / DMA
-  /// semantics). With non-FIFO links this lets a stale value clobber a
-  /// fresher one: a genuine out-of-order label inversion.
-  kLastArrivalWins,
-  /// Receiver keeps the newest tag (receiver-side filtering).
-  kNewestTagWins,
-};
-
 /// Log-spaced histogram of measured per-message delays (seconds).
 class DelayHistogram {
  public:

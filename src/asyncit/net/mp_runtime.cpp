@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "asyncit/net/peer.hpp"
-#include "asyncit/obs/metrics.hpp"
+#include "asyncit/obs/recorder_scope.hpp"
 #include "asyncit/runtime/pacing.hpp"
 #include "asyncit/runtime/shared_iterate.hpp"
 #include "asyncit/support/check.hpp"
@@ -53,16 +53,9 @@ MpResult run_message_passing(const op::BlockOperator& op,
   ASYNCIT_CHECK(transport.world() == peers_n);
   ASYNCIT_CHECK(transport.local_ranks().size() == peers_n);
 
-  // Observability: arm the global recorder/registry for this run. The
-  // kOff default leaves both untouched (so callers that manage the
-  // recorder themselves — benches, the node runtime — are unaffected).
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceConfig tc;
-    tc.level = options.obs.trace_level;
-    tc.ring_capacity = options.obs.trace_ring_capacity;
-    obs::TraceRecorder::instance().enable(tc);
-    obs::MetricsRegistry::instance().reset();
-  }
+  // kOff leaves a caller-armed recorder alone (benches manage their own).
+  obs::RecorderScope recorder(options.obs.trace_level,
+                              options.obs.trace_ring_capacity);
 
   const auto owned = la::assign_blocks_contiguous(m, peers_n);
   rt::SharedIterate monitor(x0);
@@ -172,12 +165,7 @@ MpResult run_message_passing(const op::BlockOperator& op,
   // ---- assemble the result ----
   MpResult result;
   result.wall_seconds = timer.seconds();
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceRecorder::instance().disable();
-    const obs::RecorderStats os = obs::TraceRecorder::instance().stats();
-    result.obs_events_recorded = os.recorded;
-    result.obs_events_dropped = os.dropped;
-  }
+  recorder.finish(result.obs_events_recorded, result.obs_events_dropped);
   result.x = monitor.snapshot();
   result.updates_per_worker.reserve(peers_n);
   for (const auto& u : updates) {
@@ -185,51 +173,11 @@ MpResult run_message_passing(const op::BlockOperator& op,
     result.total_updates += result.updates_per_worker.back();
   }
   result.rounds = peers.front()->rounds();
-  for (const auto& p : peers)
-    result.rounds = std::min(result.rounds, p->rounds());
   for (const auto& p : peers) {
-    result.partials_sent += p->partials_sent();
-    result.inversions_observed += p->view().inversions;
-    result.stale_filtered += p->view().stale_filtered;
-    result.peers_stopped += p->peers_stopped();
-    result.frames_rejected += p->frames_rejected();
-    result.reassignments += p->reassignments();
-    result.snapshot_blocks_sent += p->snapshot_blocks_sent();
-    result.snapshot_blocks_suppressed += p->snapshot_blocks_suppressed();
-    result.bytes_sent_raw += p->bytes_sent_raw();
-    result.bytes_sent_wire += p->bytes_sent_wire();
-    result.wire_frames_full += p->wire_frames_full();
-    result.wire_frames_delta += p->wire_frames_delta();
-    result.wire_frames_heartbeat += p->wire_frames_heartbeat();
-    result.wire_frames_codec += p->wire_frames_codec();
-    result.gate_stalls += p->gate_stalls();
-    result.steering_decisions += p->steering_decisions();
-    result.staleness_at_exit =
-        std::max(result.staleness_at_exit, p->staleness_bound());
+    result.rounds = std::min(result.rounds, p->rounds());
+    p->fold_into(result);
   }
   result.bad_frames = transport.bad_frames();
-  for (std::size_t pi = 0; pi < peers.size(); ++pi) {
-    const auto& links = peers[pi]->link_delays();
-    for (std::uint32_t src = 0; src < links.size(); ++src) {
-      if (links[src].count() == 0) continue;
-      MpResult::LinkDelay link;
-      link.src = src;
-      link.dst = static_cast<std::uint32_t>(pi);
-      link.delays = links[src];
-      result.link_delays.push_back(std::move(link));
-    }
-    if (peers[pi]->auditor() != nullptr)
-      result.admissibility.push_back(peers[pi]->auditor()->report());
-  }
-  for (const auto& a : agents) result.membership += a->stats();
-  for (std::size_t p = 0; p < peers_n; ++p) {
-    const transport::Endpoint& ep =
-        transport.endpoint(static_cast<std::uint32_t>(p));
-    result.messages_sent += ep.sent();
-    result.messages_dropped += ep.dropped();
-    result.messages_delivered += ep.delivered();
-    result.delays.merge(ep.delays());
-  }
   if (options.obs.record_trace) {
     std::vector<trace::PhaseEvent> phases;
     std::vector<trace::MessageEvent> messages;

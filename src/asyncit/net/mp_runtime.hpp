@@ -69,7 +69,7 @@ struct SolveOptions {
   /// Honoured by kAsync and kSsp; kBsp keeps its frozen-snapshot rounds.
   bool publish_partials = false;
 
-  OverwritePolicy overwrite = OverwritePolicy::kLastArrivalWins;
+  model::OverwritePolicy overwrite = model::OverwritePolicy::kLastArrivalWins;
 
   double tol = 1e-9;
   std::optional<la::Vector> x_star;  ///< oracle stopping + error metric
@@ -170,7 +170,70 @@ struct MpOptions {
   membership::Options membership;
 };
 
-struct MpResult {
+/// The counters a net::Peer keeps while it runs — one record per peer,
+/// summed into MpResult (which inherits it) by Peer::fold_into. Plain
+/// per-peer integers rather than obs::MetricsRegistry entries: the
+/// registry is process-global (a simnet world's ranks would merge into
+/// one count) and its adds are atomic read-modify-writes on the
+/// per-frame send path.
+struct PeerStats {
+  std::uint64_t partials_sent = 0;  ///< mid-phase (Definition 3) publishes
+  /// kStop control frames received (node mode only: how many other ranks
+  /// announced their stopping criterion before this rank finished).
+  std::uint64_t peers_stopped = 0;
+  /// Received frames discarded because their semantic fields (source
+  /// rank, block id, offset/payload extent) do not fit this run's
+  /// geometry — a misconfigured or hostile sender, not a wire error.
+  std::uint64_t frames_rejected = 0;
+
+  // ---- elastic membership (all zero when membership is off) ----
+  /// Live-view changes that re-ran block assignment.
+  std::uint64_t reassignments = 0;
+  /// Blocks sent as welcome snapshots to joining ranks.
+  std::uint64_t snapshot_blocks_sent = 0;
+  /// Owned blocks NOT snapshot because the established-cover plan
+  /// assigns them to another rank (deduped welcome duplicates).
+  std::uint64_t snapshot_blocks_suppressed = 0;
+
+  // ---- wire-efficiency layer (WireOptions; raw == wire when off) ----
+  /// Bytes the block publishes would have cost as full-width raw frames,
+  /// vs the bytes actually framed (delta ranges, heartbeats, quantized
+  /// payloads). raw / wire is the bandwidth-reduction factor the c15
+  /// bench gates.
+  std::uint64_t bytes_sent_raw = 0;
+  std::uint64_t bytes_sent_wire = 0;
+  /// Frame-class breakdown of the delta layer's block publishes.
+  std::uint64_t wire_frames_full = 0;
+  std::uint64_t wire_frames_delta = 0;
+  std::uint64_t wire_frames_heartbeat = 0;
+  std::uint64_t wire_frames_codec = 0;
+
+  /// SSP/BSP gate entries that actually blocked (the peer polled at
+  /// least once before its round gate opened) — the stall metric the
+  /// adaptive bound is steered to reduce.
+  std::uint64_t gate_stalls = 0;
+
+  PeerStats& operator+=(const PeerStats& o) {
+    partials_sent += o.partials_sent;
+    peers_stopped += o.peers_stopped;
+    frames_rejected += o.frames_rejected;
+    reassignments += o.reassignments;
+    snapshot_blocks_sent += o.snapshot_blocks_sent;
+    snapshot_blocks_suppressed += o.snapshot_blocks_suppressed;
+    bytes_sent_raw += o.bytes_sent_raw;
+    bytes_sent_wire += o.bytes_sent_wire;
+    wire_frames_full += o.wire_frames_full;
+    wire_frames_delta += o.wire_frames_delta;
+    wire_frames_heartbeat += o.wire_frames_heartbeat;
+    wire_frames_codec += o.wire_frames_codec;
+    gate_stalls += o.gate_stalls;
+    return *this;
+  }
+};
+
+/// A run's outcome. The PeerStats counters are summed over the local
+/// ranks (one rank for run_node).
+struct MpResult : PeerStats {
   /// The iterate after every peer has joined (threaded runs: the monitor
   /// plane assembled post-join).
   la::Vector x;
@@ -192,48 +255,20 @@ struct MpResult {
   std::uint64_t messages_sent = 0;      ///< stamped (incl. dropped)
   std::uint64_t messages_delivered = 0;
   std::uint64_t messages_dropped = 0;
-  std::uint64_t partials_sent = 0;
   /// Arrivals carrying a tag older than the newest already seen for the
   /// block — genuine out-of-order deliveries (label inversions).
   std::uint64_t inversions_observed = 0;
   /// Inversions that kNewestTagWins refused to incorporate.
   std::uint64_t stale_filtered = 0;
-  /// kStop control frames received (node mode only: how many other ranks
-  /// announced their stopping criterion before this rank finished).
-  std::uint64_t peers_stopped = 0;
-  /// Received frames discarded because their semantic fields (source
-  /// rank, block id, offset/payload extent) do not fit this run's
-  /// geometry — a misconfigured or hostile sender, not a wire error.
-  std::uint64_t frames_rejected = 0;
   /// Wire-invalid frames the transport's readers rejected (corrupted or
   /// foreign byte streams — transport::Transport::bad_frames). Filled
   /// where the runtime sees the whole transport (the Transport overload
   /// of run_message_passing; tools/asyncit_node fills it for run_node).
   std::uint64_t bad_frames = 0;
 
-  // ---- wire-efficiency layer (WireOptions; raw == wire when off) ----
-  /// Bytes the peers' block publishes would have cost as full-width raw
-  /// frames, vs the bytes actually framed (delta ranges, heartbeats,
-  /// quantized payloads). raw / wire is the bandwidth-reduction factor
-  /// the c15 bench gates.
-  std::uint64_t bytes_sent_raw = 0;
-  std::uint64_t bytes_sent_wire = 0;
-  /// Frame-class breakdown of the delta layer's block publishes.
-  std::uint64_t wire_frames_full = 0;
-  std::uint64_t wire_frames_delta = 0;
-  std::uint64_t wire_frames_heartbeat = 0;
-  std::uint64_t wire_frames_codec = 0;
-
   // ---- elastic membership (all zero/empty when membership is off) ----
   /// Detector + dissemination counters, summed over local ranks.
   membership::Stats membership;
-  /// Live-view changes that re-ran block assignment.
-  std::uint64_t reassignments = 0;
-  /// Blocks sent as welcome snapshots to joining ranks.
-  std::uint64_t snapshot_blocks_sent = 0;
-  /// Owned blocks NOT snapshot because the established-cover plan
-  /// assigns them to another rank (deduped welcome duplicates).
-  std::uint64_t snapshot_blocks_suppressed = 0;
   /// This rank's live view at exit (run_node only; sorted, includes the
   /// own rank).
   std::vector<std::uint32_t> live_at_exit;
@@ -257,10 +292,6 @@ struct MpResult {
   std::uint64_t obs_events_recorded = 0;
   std::uint64_t obs_events_dropped = 0;
 
-  /// SSP/BSP gate entries that actually blocked (the peer polled at
-  /// least once before its round gate opened), summed over local ranks —
-  /// the stall metric the adaptive bound is steered to reduce.
-  std::uint64_t gate_stalls = 0;
   /// Adaptive-staleness steering (SolveOptions::adaptive): decisions
   /// taken (traced as kSteering) and the bound at exit. With steering
   /// off, decisions is 0 and the exit bound is solve.staleness.

@@ -119,9 +119,9 @@ const KeyEntry kKeys[] = {
        std::string p;
        if (!read_value(ls, p, e)) return false;
        if (p == "last_arrival")
-         c.overwrite = net::OverwritePolicy::kLastArrivalWins;
+         c.overwrite = model::OverwritePolicy::kLastArrivalWins;
        else if (p == "newest_tag")
-         c.overwrite = net::OverwritePolicy::kNewestTagWins;
+         c.overwrite = model::OverwritePolicy::kNewestTagWins;
        else { e = "unknown overwrite policy " + p; return false; }
        return true;
      }},

@@ -56,7 +56,7 @@ struct NodeConfig {
   std::uint64_t staleness = 2;  ///< SSP bound (both workloads)
   std::size_t inner_steps = 1;
   bool publish_partials = false;
-  net::OverwritePolicy overwrite = net::OverwritePolicy::kLastArrivalWins;
+  model::OverwritePolicy overwrite = model::OverwritePolicy::kLastArrivalWins;
   double tol = 1e-8;
   double max_seconds = 30.0;
   std::uint64_t max_updates = 100000000;

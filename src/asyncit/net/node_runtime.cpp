@@ -5,7 +5,7 @@
 
 #include "asyncit/membership/swim.hpp"
 #include "asyncit/net/peer.hpp"
-#include "asyncit/obs/metrics.hpp"
+#include "asyncit/obs/recorder_scope.hpp"
 #include "asyncit/runtime/shared_iterate.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/timer.hpp"
@@ -40,17 +40,11 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
   std::atomic<bool> stop{false};
   la::WeightedMaxNorm norm{partition};
 
-  // Observability: arm the global recorder for this rank's run. The
-  // caller (tools/asyncit_node) snapshots/exports after return; the
+  // The caller (tools/asyncit_node) snapshots/exports after return; the
   // recorder's realtime anchor is what trace_merge.py aligns on.
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceConfig tc;
-    tc.level = options.obs.trace_level;
-    tc.ring_capacity = options.obs.trace_ring_capacity;
-    tc.rank = static_cast<std::uint16_t>(rank);
-    obs::TraceRecorder::instance().enable(tc);
-    obs::MetricsRegistry::instance().reset();
-  }
+  obs::RecorderScope recorder(options.obs.trace_level,
+                              options.obs.trace_ring_capacity,
+                              static_cast<std::uint16_t>(rank));
 
   PeerContext ctx;
   ctx.op = &op;
@@ -80,53 +74,14 @@ MpResult run_node(const op::BlockOperator& op, const la::Vector& x0,
 
   MpResult result;
   result.wall_seconds = clock.seconds();
-  if (options.obs.trace_level != obs::TraceLevel::kOff) {
-    obs::TraceRecorder::instance().disable();
-    const obs::RecorderStats os = obs::TraceRecorder::instance().stats();
-    result.obs_events_recorded = os.recorded;
-    result.obs_events_dropped = os.dropped;
-  }
+  recorder.finish(result.obs_events_recorded, result.obs_events_dropped);
   result.x = peer.view().x;  // the rank's full private iterate
   result.updates_per_worker.assign(world, 0);
   result.updates_per_worker[rank] = updates[rank].load();
   result.total_updates = result.updates_per_worker[rank];
   result.rounds = peer.rounds();
-  result.partials_sent = peer.partials_sent();
-  result.inversions_observed = peer.view().inversions;
-  result.stale_filtered = peer.view().stale_filtered;
-  result.peers_stopped = peer.peers_stopped();
-  result.frames_rejected = peer.frames_rejected();
-  result.reassignments = peer.reassignments();
-  result.snapshot_blocks_sent = peer.snapshot_blocks_sent();
-  result.snapshot_blocks_suppressed = peer.snapshot_blocks_suppressed();
-  result.bytes_sent_raw = peer.bytes_sent_raw();
-  result.bytes_sent_wire = peer.bytes_sent_wire();
-  result.wire_frames_full = peer.wire_frames_full();
-  result.wire_frames_delta = peer.wire_frames_delta();
-  result.wire_frames_heartbeat = peer.wire_frames_heartbeat();
-  result.wire_frames_codec = peer.wire_frames_codec();
-  result.gate_stalls = peer.gate_stalls();
-  result.steering_decisions = peer.steering_decisions();
-  result.staleness_at_exit = peer.staleness_bound();
-  if (agent) {
-    result.membership = agent->stats();
-    result.live_at_exit = agent->table().live_ranks();
-  }
-  result.messages_sent = endpoint.sent();
-  result.messages_dropped = endpoint.dropped();
-  result.messages_delivered = endpoint.delivered();
-  result.delays.merge(endpoint.delays());
-  const auto& links = peer.link_delays();
-  for (std::uint32_t src = 0; src < links.size(); ++src) {
-    if (links[src].count() == 0) continue;
-    MpResult::LinkDelay link;
-    link.src = src;
-    link.dst = rank;
-    link.delays = links[src];
-    result.link_delays.push_back(std::move(link));
-  }
-  if (peer.auditor() != nullptr)
-    result.admissibility.push_back(peer.auditor()->report());
+  peer.fold_into(result);
+  if (agent) result.live_at_exit = agent->table().live_ranks();
   if (options.obs.record_trace) {
     for (const auto& e : peer.log().phases()) result.log.add_phase(e);
     for (const auto& e : peer.log().messages()) result.log.add_message(e);

@@ -26,13 +26,14 @@ constexpr std::uint64_t kNodeStopCheckFactor = 4;
 
 }  // namespace
 
-void incorporate(const la::Partition& partition, OverwritePolicy policy,
-                 const Message& m, LocalView& view) {
+void incorporate(const la::Partition& partition,
+                 model::OverwritePolicy policy, const Message& m,
+                 LocalView& view) {
   auto dst = partition.block_span(std::span<double>(view.x), m.block);
   ASYNCIT_CHECK(m.offset + m.value.size() <= dst.size());
   if (m.tag < view.max_tag[m.block]) ++view.inversions;
   view.max_tag[m.block] = std::max(view.max_tag[m.block], m.tag);
-  if (policy == OverwritePolicy::kNewestTagWins &&
+  if (policy == model::OverwritePolicy::kNewestTagWins &&
       m.tag <= view.tags[m.block]) {
     ++view.stale_filtered;
     return;
@@ -143,9 +144,10 @@ std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
 }
 
 void Peer::incorporate_tracked(const la::Partition& partition,
-                               OverwritePolicy policy, const Message& m) {
+                               model::OverwritePolicy policy,
+                               const Message& m) {
   const bool inversion = m.tag < view_.max_tag[m.block];
-  const bool filtered = policy == OverwritePolicy::kNewestTagWins &&
+  const bool filtered = policy == model::OverwritePolicy::kNewestTagWins &&
                         m.tag <= view_.tags[m.block];
   if (inversion)
     obs::record(obs::EventType::kInversion, filtered ? 1 : 0,
@@ -183,8 +185,9 @@ void Peer::receive() {
   // while we are still sweeping round r.) Held-back messages rejoin
   // through holdback_ at the next receive() after round_ advances.
   const bool bsp = ctx_.options->solve.mode == Mode::kBsp;
-  const OverwritePolicy policy =
-      bsp ? OverwritePolicy::kNewestTagWins : ctx_.options->solve.overwrite;
+  const model::OverwritePolicy policy =
+      bsp ? model::OverwritePolicy::kNewestTagWins
+          : ctx_.options->solve.overwrite;
   const la::Partition& partition = ctx_.op->partition();
 
   if (bsp && !holdback_.empty()) {
@@ -208,7 +211,7 @@ void Peer::receive() {
     // launched with disagreeing configs). Such a message must be
     // discarded with a counter, not abort the rank via a failed CHECK.
     if (m.src >= ctx_.options->workers || m.src == id_) {
-      ++frames_rejected_;
+      ++stats_.frames_rejected;
       obs::record(obs::EventType::kFrameReject,
                   static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
       return true;
@@ -221,7 +224,7 @@ void Peer::receive() {
       // criterion fires (the departed rank's final values are within
       // tolerance, so convergence completes); only a rank with no local
       // criterion at all stops once everyone else has left.
-      ++peers_stopped_;
+      ++stats_.peers_stopped;
       const bool has_local_criterion =
           ctx_.options->solve.x_star.has_value() ||
           ctx_.options->solve.displacement_tol > 0.0;
@@ -240,7 +243,7 @@ void Peer::receive() {
       } else if (ctx_.options->solve.mode != Mode::kAsync) {
         trip_stop(obs::StopReason::kPeerStop);
       } else if (!has_local_criterion &&
-                 peers_stopped_ + 1 >= ctx_.options->workers) {
+                 stats_.peers_stopped + 1 >= ctx_.options->workers) {
         trip_stop(obs::StopReason::kLiveViewDone);
       }
       return true;
@@ -250,7 +253,7 @@ void Peer::receive() {
       // agent these frames describe a protocol this run does not speak —
       // discard with the same counter as any config mismatch.
       if (ctx_.membership == nullptr) {
-        ++frames_rejected_;
+        ++stats_.frames_rejected;
         obs::record(obs::EventType::kFrameReject,
                     static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
       } else {
@@ -271,7 +274,7 @@ void Peer::receive() {
                (!m.partial && (m.offset != 0 || m.value.size() != block_size));
     }
     if (reject) {
-      ++frames_rejected_;
+      ++stats_.frames_rejected;
       obs::record(obs::EventType::kFrameReject,
                   static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
       return true;
@@ -394,24 +397,17 @@ void Peer::send_block(la::BlockId b, bool partial) {
     const FrameNote& note = notes[i];
     const transport::SendReceipt& receipt = receipts[i];
     const std::uint32_t dst = f.dst;
-    const std::uint64_t raw = transport::frame_bytes(value.size());
     const std::uint64_t sent =
         transport::wire_frame_bytes(f.value.size(), f.header.quant_bits);
-    bytes_sent_raw_ += raw;
-    bytes_sent_wire_ += sent;
-    if (link_bytes_raw_.size() <= dst) {
-      link_bytes_raw_.resize(ctx_.options->workers, 0);
-      link_bytes_wire_.resize(ctx_.options->workers, 0);
-    }
-    link_bytes_raw_[dst] += raw;
-    link_bytes_wire_[dst] += sent;
+    stats_.bytes_sent_raw += transport::frame_bytes(value.size());
+    stats_.bytes_sent_wire += sent;
     if (note.full)
-      ++wire_frames_full_;
+      ++stats_.wire_frames_full;
     else if (note.heartbeat)
-      ++wire_frames_heartbeat_;
+      ++stats_.wire_frames_heartbeat;
     else
-      ++wire_frames_delta_;
-    if (f.header.quant_bits != 0) ++wire_frames_codec_;
+      ++stats_.wire_frames_delta;
+    if (f.header.quant_bits != 0) ++stats_.wire_frames_codec;
     if (receipt.sent && note.slot != nullptr) {
       // The slot mirrors what the receiver now holds — update it only
       // when the frame actually left (a dropped frame leaves the
@@ -444,7 +440,7 @@ void Peer::send_block(la::BlockId b, bool partial) {
                         receipt.deliver_at, tag});
     }
   }
-  if (partial) ++partials_sent_;
+  if (partial) ++stats_.partials_sent;
 }
 
 void Peer::encode_delta(transport::Frame& f, FrameNote& note,
@@ -584,7 +580,7 @@ void Peer::send_snapshot_to(std::uint32_t dst) {
   for (const la::BlockId b : owned_blocks()) {
     if (std::find(snapshot_plan_.begin(), snapshot_plan_.end(), b) ==
         snapshot_plan_.end())
-      ++snapshot_blocks_suppressed_;
+      ++stats_.snapshot_blocks_suppressed;
   }
   for (const la::BlockId b : snapshot_plan_) {
     transport::MessageHeader header;
@@ -599,7 +595,7 @@ void Peer::send_snapshot_to(std::uint32_t dst) {
     obs::record(obs::EventType::kFrameSend,
                 static_cast<std::uint8_t>(header.kind), dst, header.tag,
                 double(value.size() * sizeof(double)));
-    ++snapshot_blocks_sent_;
+    ++stats_.snapshot_blocks_sent;
   }
 }
 
@@ -636,7 +632,7 @@ void Peer::service_membership() {
   if (owned_epoch_ != agent->table().epoch()) {
     owned_epoch_ = agent->table().epoch();
     recompute_owned();
-    ++reassignments_;
+    ++stats_.reassignments;
     // A death may complete the live-view termination condition for a
     // rank with no local criterion (everyone else stopped or died).
     const bool has_local_criterion =
@@ -746,7 +742,7 @@ bool Peer::wait_for_rounds(std::uint64_t needed) {
       // The gate actually blocks this sweep (not satisfied from what was
       // already drained) — the stall the adaptive bound exists to avoid.
       first_pass = false;
-      ++gate_stalls_;
+      ++stats_.gate_stalls;
     }
     // Sleep until the next pending delivery matures, new data arrives,
     // or the poll bound expires (keeps the stop flag responsive).
@@ -854,6 +850,26 @@ void Peer::run() {
   // Frames still held back for a round that never came are consumed by
   // the exit: their payload references go back like any other.
   if (!holdback_.empty()) endpoint_->recycle(holdback_);
+}
+
+void Peer::fold_into(MpResult& result) const {
+  result += stats_;
+  result.inversions_observed += view_.inversions;
+  result.stale_filtered += view_.stale_filtered;
+  if (steer_) result.steering_decisions += steer_->decisions();
+  result.staleness_at_exit =
+      std::max(result.staleness_at_exit, staleness_bound());
+  if (ctx_.membership != nullptr)
+    result.membership += ctx_.membership->stats();
+  for (std::uint32_t src = 0; src < link_delays_.size(); ++src) {
+    if (link_delays_[src].count() == 0) continue;
+    result.link_delays.push_back({src, id_, link_delays_[src]});
+  }
+  if (auditor_ != nullptr) result.admissibility.push_back(auditor_->report());
+  result.messages_sent += endpoint_->sent();
+  result.messages_dropped += endpoint_->dropped();
+  result.messages_delivered += endpoint_->delivered();
+  result.delays.merge(endpoint_->delays());
 }
 
 }  // namespace asyncit::net

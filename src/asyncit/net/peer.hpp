@@ -67,8 +67,9 @@ struct LocalView {
 /// messages); kNewestTagWins additionally refuses to let it overwrite.
 /// Partial-block frames (m.offset > 0 or m.value shorter than the block)
 /// overwrite only the carried coordinate range.
-void incorporate(const la::Partition& partition, OverwritePolicy policy,
-                 const Message& m, LocalView& view);
+void incorporate(const la::Partition& partition,
+                 model::OverwritePolicy policy, const Message& m,
+                 LocalView& view);
 
 /// The blocks `self` should include in a welcome snapshot for `joiner`:
 /// its share of the contiguous assignment over the ESTABLISHED live set
@@ -127,62 +128,17 @@ class Peer {
   // ---- post-run accessors (valid after the thread has joined) ----
   const LocalView& view() const { return view_; }
   std::uint64_t rounds() const { return round_; }
-  std::uint64_t messages_sent() const { return endpoint_->sent(); }
-  std::uint64_t messages_dropped() const { return endpoint_->dropped(); }
-  std::uint64_t partials_sent() const { return partials_sent_; }
-  /// kStop control frames received (node mode: peers that left).
-  std::uint64_t peers_stopped() const { return peers_stopped_; }
-  /// Wire-valid messages discarded for out-of-range semantic fields
-  /// (source rank / block id / offset extent — config mismatch).
-  std::uint64_t frames_rejected() const { return frames_rejected_; }
-  /// Elastic mode: live-view changes that re-ran block assignment.
-  std::uint64_t reassignments() const { return reassignments_; }
-  /// Elastic mode: blocks sent as welcome snapshots to joining ranks.
-  std::uint64_t snapshot_blocks_sent() const { return snapshot_blocks_sent_; }
-  /// Elastic mode: owned blocks NOT snapshot to a joiner because the
-  /// established-cover plan assigns them to another rank (the duplicates
-  /// the pre-dedupe welcome path would have sent).
-  std::uint64_t snapshot_blocks_suppressed() const {
-    return snapshot_blocks_suppressed_;
-  }
-  /// Bytes this peer's value frames WOULD have cost without the wire
-  /// layer (full-width raw frames) vs what actually went out. Counted
-  /// for block publishes on every backend; raw == wire with delta off.
-  std::uint64_t bytes_sent_raw() const { return bytes_sent_raw_; }
-  std::uint64_t bytes_sent_wire() const { return bytes_sent_wire_; }
-  /// Frame-class breakdown of the delta layer's sends.
-  std::uint64_t wire_frames_full() const { return wire_frames_full_; }
-  std::uint64_t wire_frames_delta() const { return wire_frames_delta_; }
-  std::uint64_t wire_frames_heartbeat() const {
-    return wire_frames_heartbeat_;
-  }
-  std::uint64_t wire_frames_codec() const { return wire_frames_codec_; }
-  /// TX byte breakdown per destination rank (index = dst; empty vectors
-  /// until the first block publish sizes them).
-  const std::vector<std::uint64_t>& link_bytes_raw() const {
-    return link_bytes_raw_;
-  }
-  const std::vector<std::uint64_t>& link_bytes_wire() const {
-    return link_bytes_wire_;
-  }
+  const PeerStats& stats() const { return stats_; }
   const trace::EventLog& log() const { return log_; }
-  /// Measured drain delay per source rank (always on; index = src).
-  const std::vector<DelayHistogram>& link_delays() const {
-    return link_delays_;
-  }
-  /// Online admissibility auditor (null unless ObsOptions::audit or
-  /// adaptive staleness — steering needs the measured bound).
-  const obs::OnlineAuditor* auditor() const { return auditor_.get(); }
-  /// SSP/BSP gate entries that actually blocked before opening.
-  std::uint64_t gate_stalls() const { return gate_stalls_; }
-  /// Adaptive staleness: steering decisions taken (0 when off) and the
-  /// gate bound at exit (== solve.staleness when off).
-  std::uint64_t steering_decisions() const {
-    return steer_ ? steer_->decisions() : 0;
-  }
-  std::uint64_t staleness_bound() const {
-    return steer_ ? steer_->bound() : ctx_.options->solve.staleness;
-  }
+
+  /// Folds this finished peer and its endpoint into `result` — the one
+  /// place a run's per-rank counters are assembled: PeerStats, the view's
+  /// inversion/stale counts, steering decisions (summed) and exit bound
+  /// (max), membership stats, per-source link delays, the admissibility
+  /// report, and the endpoint's sent/dropped/delivered counts and delay
+  /// histogram. Everything is added, so run_message_passing folds each
+  /// peer into one result and run_node folds its single peer.
+  void fold_into(MpResult& result) const;
 
  private:
   double now() const { return ctx_.clock->seconds(); }
@@ -228,9 +184,14 @@ class Peer {
   /// incorporate() plus the observability taps: inversion events, the
   /// audit bridge's changed-block mask, per-link delay bookkeeping.
   void incorporate_tracked(const la::Partition& partition,
-                           OverwritePolicy policy, const Message& m);
+                           model::OverwritePolicy policy, const Message& m);
   /// Records the stop decision and trips the shared flag.
   void trip_stop(obs::StopReason reason);
+  /// The SSP gate slack: the steered bound, or solve.staleness when
+  /// adaptive staleness is off.
+  std::uint64_t staleness_bound() const {
+    return steer_ ? steer_->bound() : ctx_.options->solve.staleness;
+  }
 
   PeerContext ctx_;
   const std::uint32_t id_;
@@ -256,9 +217,7 @@ class Peer {
   /// kNewestTagWins receivers would discard its updates as stale).
   std::vector<model::Step> production_;
   model::Step local_step_ = 0;        ///< completed phases (trace labels)
-  std::uint64_t partials_sent_ = 0;
-  std::uint64_t peers_stopped_ = 0;
-  std::uint64_t frames_rejected_ = 0;
+  PeerStats stats_;
   ThreadCpuTimer cpu_timer_;
 
   // ---- elastic membership (all empty/zero when ctx.membership is null)
@@ -267,9 +226,6 @@ class Peer {
   std::vector<bool> stopped_ranks_;          ///< kStop seen, by rank
   std::vector<membership::Event> events_scratch_;
   std::uint64_t owned_epoch_ = 0;     ///< table epoch of elastic_owned_
-  std::uint64_t reassignments_ = 0;
-  std::uint64_t snapshot_blocks_sent_ = 0;
-  std::uint64_t snapshot_blocks_suppressed_ = 0;
   std::vector<la::BlockId> snapshot_plan_;   ///< welcome-plan scratch
 
   // ---- wire-efficiency layer (MpOptions::wire; all empty when off) ----
@@ -307,19 +263,10 @@ class Peer {
   void encode_delta(transport::Frame& f, FrameNote& note, DeltaSlot& slot,
                     std::span<const double> value,
                     std::span<double> codec_out, bool partial);
-  /// Raw-equivalent vs on-wire bytes per destination rank (index = dst).
-  std::vector<std::uint64_t> link_bytes_raw_;
-  std::vector<std::uint64_t> link_bytes_wire_;
   /// Bumped whenever a remote value for the block is incorporated: our
   /// delta baseline toward EVERY destination is stale the moment someone
   /// else wrote the block (ownership churn), so the next send refreshes.
   std::vector<std::uint64_t> block_rx_epoch_;
-  std::uint64_t bytes_sent_raw_ = 0;
-  std::uint64_t bytes_sent_wire_ = 0;
-  std::uint64_t wire_frames_full_ = 0;
-  std::uint64_t wire_frames_delta_ = 0;
-  std::uint64_t wire_frames_heartbeat_ = 0;
-  std::uint64_t wire_frames_codec_ = 0;
 
   /// Round-completion tracking per source peer: complete_rounds_[src] is
   /// the count r of initial rounds (0..r-1) for which ALL of src's final
@@ -342,7 +289,6 @@ class Peer {
   /// staleness option. Fed from the auditor's measured delay bound in
   /// update_block (signal in rounds: d_bound / owned blocks).
   std::unique_ptr<obs::StalenessController> steer_;
-  std::uint64_t gate_stalls_ = 0;
   /// Audit bridge (see update_block): step j = own completed phases;
   /// last_changed_[i] = audit step at which component i last changed,
   /// pending_[i] = changed by a remote incorporation since the last own

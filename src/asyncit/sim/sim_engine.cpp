@@ -340,7 +340,7 @@ SimResult run_async_sim(const op::BlockOperator& op, const la::Vector& x0,
         if (!ev.partial) ++s.data_received;
         const la::BlockRange r = partition.range(ev.block);
         const bool accept =
-            options.overwrite == OverwritePolicy::kLastArrivalWins
+            options.overwrite == model::OverwritePolicy::kLastArrivalWins
                 ? true
                 : ev.tag >= s.view_tag[ev.block];
         if (accept) {

@@ -45,21 +45,12 @@
 
 namespace asyncit::sim {
 
-enum class OverwritePolicy {
-  /// Incoming value always overwrites the local copy (one-sided put /
-  /// DMA semantics). With non-FIFO channels this produces genuine
-  /// out-of-order label inversions.
-  kLastArrivalWins,
-  /// Receiver keeps the newest tag (receiver-side filtering).
-  kNewestTagWins,
-};
-
 struct SimOptions {
   std::size_t inner_steps = 1;
   bool publish_partials = false;  ///< flexible communication (Definition 3)
   bool fifo = false;              ///< enforce per-channel in-order delivery
   double drop_prob = 0.0;         ///< transient message loss probability
-  OverwritePolicy overwrite = OverwritePolicy::kLastArrivalWins;
+  model::OverwritePolicy overwrite = model::OverwritePolicy::kLastArrivalWins;
 
   model::Step max_steps = 100000;
   double max_time = 1e12;

@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "asyncit/net/node_runtime.hpp"
-#include "asyncit/obs/metrics.hpp"
-#include "asyncit/obs/trace_recorder.hpp"
+#include "asyncit/obs/recorder_scope.hpp"
 #include "asyncit/simnet/transport.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/transport/chaos.hpp"
@@ -23,42 +22,6 @@ std::uint64_t sim_trace_clock() {
   const SimEngine* engine = SimEngine::active();
   return engine != nullptr ? engine->now_ns() : 0;
 }
-
-/// Scoped recorder arming for a simulated world: installs the virtual
-/// clock, enables the single process-global recorder (the per-rank
-/// runtimes are handed trace_level kOff so they don't re-anchor it), and
-/// restores everything on scope exit.
-class WorldObs {
- public:
-  WorldObs(obs::TraceLevel level, std::size_t ring_capacity)
-      : level_(level), prev_clock_(obs::trace_clock()) {
-    if (level_ == obs::TraceLevel::kOff) return;
-    obs::set_trace_clock(&sim_trace_clock);
-    obs::TraceConfig tc;
-    tc.level = level_;
-    tc.ring_capacity = ring_capacity;
-    tc.rank = 0;  // one process hosts the world; Event::rank stays 0
-    obs::TraceRecorder::instance().enable(tc);
-    obs::MetricsRegistry::instance().reset();
-  }
-
-  ~WorldObs() {
-    if (level_ == obs::TraceLevel::kOff) return;
-    obs::TraceRecorder::instance().disable();
-    obs::set_trace_clock(prev_clock_);
-  }
-
-  void collect(std::uint64_t& recorded, std::uint64_t& dropped) const {
-    if (level_ == obs::TraceLevel::kOff) return;
-    const obs::RecorderStats stats = obs::TraceRecorder::instance().stats();
-    recorded = stats.recorded;
-    dropped = stats.dropped;
-  }
-
- private:
-  obs::TraceLevel level_;
-  obs::TraceClockFn prev_clock_;
-};
 
 SimEngine::Options engine_options(const SimConfig& sim) {
   SimEngine::Options eo;
@@ -86,15 +49,17 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
       chaos ? static_cast<transport::Transport&>(*chaos) : fabric;
 
   // The ranks share one options block: tracing is owned by the world
-  // (see WorldObs), and per-source link histograms are a world^2 memory
-  // cliff the simulator exists to scale past.
+  // (the RecorderScope below), and per-source link histograms are a
+  // world^2 memory cliff the simulator exists to scale past.
   net::MpOptions per_rank = options.mp;
   per_rank.obs.trace_level = obs::TraceLevel::kOff;
   per_rank.obs.link_delays = false;
 
   SimClock clock(&engine);
-  WorldObs world_obs(options.mp.obs.trace_level,
-                     options.mp.obs.trace_ring_capacity);
+  // One process hosts the world, so Event::rank stays 0.
+  obs::RecorderScope recorder(options.mp.obs.trace_level,
+                              options.mp.obs.trace_ring_capacity, 0,
+                              &sim_trace_clock);
 
   WorldResult result;
   result.ranks.resize(world);
@@ -116,7 +81,7 @@ WorldResult run_world(const op::BlockOperator& op, const la::Vector& x0,
   result.log_truncated = engine.log_truncated();
   result.partition_dropped = fabric.partition_dropped();
   result.payload_doubles_copied = fabric.payload_doubles_copied();
-  world_obs.collect(result.obs_events_recorded, result.obs_events_dropped);
+  recorder.finish(result.obs_events_recorded, result.obs_events_dropped);
   result.all_converged = options.mp.solve.x_star.has_value();
   for (const net::MpResult& rank : result.ranks) {
     result.all_converged = result.all_converged && rank.converged;
@@ -143,8 +108,9 @@ TrainWorldResult run_train_world(const train::Dataset& data,
   per_rank.obs.trace_level = obs::TraceLevel::kOff;
 
   SimClock clock(&engine);
-  WorldObs world_obs(options.train.obs.trace_level,
-                     options.train.obs.trace_ring_capacity);
+  obs::RecorderScope recorder(options.train.obs.trace_level,
+                              options.train.obs.trace_ring_capacity, 0,
+                              &sim_trace_clock);
 
   TrainWorldResult result;
   result.ranks.resize(world);
@@ -161,12 +127,8 @@ TrainWorldResult run_train_world(const train::Dataset& data,
   result.wall_seconds = wall.seconds();
   result.events = engine.events_dispatched();
   result.log_hash = engine.log_hash();
-  std::uint64_t rec = 0, drop = 0;
-  world_obs.collect(rec, drop);
-  if (!result.ranks.empty()) {
-    result.ranks[0].obs_events_recorded = rec;
-    result.ranks[0].obs_events_dropped = drop;
-  }
+  recorder.finish(result.ranks[0].obs_events_recorded,
+                  result.ranks[0].obs_events_dropped);
   return result;
 }
 

@@ -62,12 +62,19 @@ class ChaosEndpoint final : public Endpoint {
   Endpoint* inner_ = nullptr;
   bool drop_control_ = false;  ///< DeliveryPolicy::drop_control
   std::vector<net::LinkStamper> links_;  ///< per destination
-  /// Frames awaiting maturity, sorted by deliver_at (mailbox
-  /// discipline). Entries before held_head_ are consumed; the vector is
-  /// compacted once the consumed prefix dominates, so draining stays
-  /// amortized O(1) however large the latency backlog grows.
-  std::vector<net::Message> held_;
-  std::size_t held_head_ = 0;
+  /// A frame awaiting maturity; `seq` (arrival order) breaks
+  /// m.deliver_at ties, so equal release times drain first come, first
+  /// served.
+  struct Held {
+    std::uint64_t seq;
+    net::Message m;
+  };
+  /// Min-heap on (m.deliver_at, seq). Random per-frame latencies insert
+  /// anywhere in the backlog (rate x latency frames), so a sorted vector
+  /// paid O(backlog) per arrival; a flooded receiver then drained slower
+  /// than frames came in and never caught up.
+  std::vector<Held> held_;
+  std::uint64_t held_seq_ = 0;
   std::vector<net::Message> staging_;    ///< inner drain scratch
   std::vector<double> fifo_floor_;       ///< per SOURCE link release floor
   bool fifo_ = false;

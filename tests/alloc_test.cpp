@@ -246,7 +246,7 @@ TEST(AllocationRegression, InprocMessagingRoundTripAllocatesNothing) {
       e0.send(1, header, payload, 1e-4 * i, /*allow_drop=*/false);
       e1.receive(1e9, inbox);
       for (const net::Message& m : inbox)
-        net::incorporate(partition, net::OverwritePolicy::kLastArrivalWins,
+        net::incorporate(partition, model::OverwritePolicy::kLastArrivalWins,
                          m, view);
       e1.recycle(inbox);
     }
@@ -293,7 +293,7 @@ TEST(AllocationRegression, MessagingWithFullTracingStillAllocatesNothing) {
       obs::record(obs::EventType::kFrameSend, 0, 1, header.tag, 48.0);
       e1.receive(1e9, inbox);
       for (const net::Message& m : inbox) {
-        net::incorporate(partition, net::OverwritePolicy::kLastArrivalWins,
+        net::incorporate(partition, model::OverwritePolicy::kLastArrivalWins,
                          m, view);
         obs::record(obs::EventType::kFrameRecv, 0, 0, m.tag, 1e-4);
         frames.add(1);

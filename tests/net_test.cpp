@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <deque>
+#include <iterator>
 
 #include "asyncit/linalg/norms.hpp"
 #include "asyncit/net/channel.hpp"
@@ -119,6 +120,34 @@ TEST(Mailbox, DrainsInDeliveryOrderNotPostOrder) {
 
 // -------------------------------------------------------- incorporation
 
+TEST(PeerStats, PlusEqualsSumsEveryCounter) {
+  // Every counter, in declaration order. The size check fails when a
+  // field is added to PeerStats without being listed here.
+  constexpr std::uint64_t PeerStats::*kFields[] = {
+      &PeerStats::partials_sent,         &PeerStats::peers_stopped,
+      &PeerStats::frames_rejected,       &PeerStats::reassignments,
+      &PeerStats::snapshot_blocks_sent,  &PeerStats::snapshot_blocks_suppressed,
+      &PeerStats::bytes_sent_raw,        &PeerStats::bytes_sent_wire,
+      &PeerStats::wire_frames_full,      &PeerStats::wire_frames_delta,
+      &PeerStats::wire_frames_heartbeat, &PeerStats::wire_frames_codec,
+      &PeerStats::gate_stalls,
+  };
+  static_assert(sizeof(PeerStats) ==
+                std::size(kFields) * sizeof(std::uint64_t));
+  // Distinct values per field, so a counter left out of += (or summed
+  // into a neighbour) shows up.
+  PeerStats a, b;
+  for (std::size_t k = 0; k < std::size(kFields); ++k) {
+    a.*kFields[k] = k + 1;
+    b.*kFields[k] = 100 * (k + 1);
+  }
+  MpResult sum;  // the fold's target type: PeerStats is its base
+  sum += a;
+  sum += b;
+  for (std::size_t k = 0; k < std::size(kFields); ++k)
+    EXPECT_EQ(sum.*kFields[k], 101 * (k + 1)) << "field " << k;
+}
+
 class IncorporateTest : public ::testing::Test {
  protected:
   IncorporateTest()
@@ -139,10 +168,10 @@ class IncorporateTest : public ::testing::Test {
 };
 
 TEST_F(IncorporateTest, LastArrivalWinsSuffersLabelInversions) {
-  incorporate(partition_, OverwritePolicy::kLastArrivalWins, block0(2, 2.0),
-              view_);
-  incorporate(partition_, OverwritePolicy::kLastArrivalWins, block0(1, 1.0),
-              view_);
+  incorporate(partition_, model::OverwritePolicy::kLastArrivalWins,
+              block0(2, 2.0), view_);
+  incorporate(partition_, model::OverwritePolicy::kLastArrivalWins,
+              block0(1, 1.0), view_);
   // the stale tag-1 value clobbered the fresher tag-2 value
   EXPECT_DOUBLE_EQ(view_.x[0], 1.0);
   EXPECT_EQ(view_.tags[0], 1u);
@@ -152,10 +181,10 @@ TEST_F(IncorporateTest, LastArrivalWinsSuffersLabelInversions) {
 }
 
 TEST_F(IncorporateTest, NewestTagWinsFiltersStaleArrivals) {
-  incorporate(partition_, OverwritePolicy::kNewestTagWins, block0(2, 2.0),
-              view_);
-  incorporate(partition_, OverwritePolicy::kNewestTagWins, block0(1, 1.0),
-              view_);
+  incorporate(partition_, model::OverwritePolicy::kNewestTagWins,
+              block0(2, 2.0), view_);
+  incorporate(partition_, model::OverwritePolicy::kNewestTagWins,
+              block0(1, 1.0), view_);
   // the inversion is OBSERVED but the stale value is refused
   EXPECT_DOUBLE_EQ(view_.x[0], 2.0);
   EXPECT_EQ(view_.tags[0], 2u);
@@ -254,7 +283,7 @@ TEST_F(MpRuntimeFixture, ReportsTheCertifiedStopAndItsDrift) {
   // wind-down moved it. Last-arrival-wins over non-FIFO links is the
   // regime where late, stale arrivals can regress the joined state.
   MpOptions opt = base_options();
-  opt.solve.overwrite = OverwritePolicy::kLastArrivalWins;
+  opt.solve.overwrite = model::OverwritePolicy::kLastArrivalWins;
   const auto r = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()),
                                           opt);
   ASSERT_TRUE(r.converged) << "error " << r.final_error;
@@ -301,13 +330,13 @@ TEST_F(MpRuntimeFixture, NonFifoChannelsProduceLabelInversions) {
   opt.solve.mode = Mode::kAsync;
   opt.chaos.delivery.min_latency = 1e-4;
   opt.chaos.delivery.max_latency = 5e-3;
-  opt.solve.overwrite = OverwritePolicy::kLastArrivalWins;
+  opt.solve.overwrite = model::OverwritePolicy::kLastArrivalWins;
   auto raw = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()), opt);
   EXPECT_TRUE(raw.converged);  // paper: convergence despite inversions
   EXPECT_GT(raw.inversions_observed, 0u);
   EXPECT_EQ(raw.stale_filtered, 0u);  // last-arrival-wins filters nothing
 
-  opt.solve.overwrite = OverwritePolicy::kNewestTagWins;
+  opt.solve.overwrite = model::OverwritePolicy::kNewestTagWins;
   auto filtered = net::run_message_passing(*jacobi_, la::zeros(sys_.dim()),
                                            opt);
   EXPECT_TRUE(filtered.converged);

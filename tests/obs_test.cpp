@@ -28,12 +28,16 @@
 #include "asyncit/obs/auditor.hpp"
 #include "asyncit/obs/exporter.hpp"
 #include "asyncit/obs/metrics.hpp"
+#include "asyncit/obs/recorder_scope.hpp"
 #include "asyncit/obs/streamer.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/obs/watchdog.hpp"
 #include "asyncit/operators/jacobi.hpp"
 #include "asyncit/problems/linear_system.hpp"
+#include "asyncit/problems/synthetic.hpp"
+#include "asyncit/simnet/world.hpp"
 #include "asyncit/support/rng.hpp"
+#include "asyncit/train/train.hpp"
 
 namespace {
 
@@ -59,6 +63,7 @@ bool python3_available() {
 // virtual-time clock injection).
 std::uint64_t g_fake_ns = 0;
 std::uint64_t fake_clock() { return g_fake_ns += 1000; }
+std::uint64_t other_clock() { return 42; }
 
 std::string slurp(const std::string& path) {
   std::ifstream f(path);
@@ -593,6 +598,106 @@ TEST(Watchdog, DisarmedInTimeStaysSilent) {
     EXPECT_FALSE(dog.fired());
   }
   EXPECT_TRUE(sink.str().empty());
+}
+
+TEST(RecorderScope, OffLeavesACallerArmedRecorderAlone) {
+  g_fake_ns = 0;
+  obs::set_trace_clock(&fake_clock);
+  enable_full();
+  for (std::uint32_t i = 0; i < 5; ++i)
+    obs::record(obs::EventType::kBlockUpdate, i, i, 0.0);
+  std::uint64_t recorded = 7, dropped = 7;  // sentinels
+  {
+    obs::RecorderScope scope(obs::TraceLevel::kOff, kCap, 3, &other_clock);
+    EXPECT_TRUE(obs::tracing_full());
+    EXPECT_EQ(obs::trace_clock(), &fake_clock);
+    scope.finish(recorded, dropped);
+    EXPECT_EQ(recorded, 7u);
+    EXPECT_EQ(dropped, 7u);
+  }
+  EXPECT_TRUE(obs::tracing_full());
+  EXPECT_EQ(obs::trace_clock(), &fake_clock);
+  EXPECT_EQ(obs::TraceRecorder::instance().stats().recorded, 5u);
+  std::vector<obs::Event> events;
+  EXPECT_EQ(obs::TraceRecorder::instance().snapshot(&events), 5u);
+  obs::TraceRecorder::instance().disable();
+  obs::set_trace_clock(nullptr);
+}
+
+TEST(RecorderScope, RestoresThePriorClockAndKeepsEventsOnExit) {
+  obs::set_trace_clock(&fake_clock);
+  {
+    obs::RecorderScope scope(obs::TraceLevel::kFull, kCap, 2, &other_clock);
+    EXPECT_TRUE(obs::tracing_full());
+    EXPECT_EQ(obs::trace_clock(), &other_clock);
+    EXPECT_EQ(obs::TraceRecorder::instance().rank(), 2u);
+    for (std::uint32_t i = 0; i < 4; ++i)
+      obs::record(obs::EventType::kBlockUpdate, i, i, 0.0);
+  }
+  EXPECT_FALSE(obs::tracing_on());
+  EXPECT_EQ(obs::trace_clock(), &fake_clock);
+  std::vector<obs::Event> events;
+  EXPECT_EQ(obs::TraceRecorder::instance().snapshot(&events), 4u);
+  // Without a clock of its own the scope runs on (and keeps) the
+  // installed one.
+  {
+    obs::RecorderScope scope(obs::TraceLevel::kMetrics, kCap);
+    EXPECT_EQ(obs::trace_clock(), &fake_clock);
+  }
+  EXPECT_EQ(obs::trace_clock(), &fake_clock);
+  obs::set_trace_clock(nullptr);
+}
+
+TEST(RecorderScope, EntryPointsDisarmOnReturnAndReportTheRingStats) {
+  // After each traced entry point returns, the recorder is off and the
+  // result's accounting is the rings' — what exporters snapshot next.
+  const auto expect_disarmed = [](std::uint64_t recorded,
+                                   std::uint64_t dropped, const char* who) {
+    const obs::RecorderStats stats = obs::TraceRecorder::instance().stats();
+    EXPECT_FALSE(obs::tracing_on()) << who;
+    EXPECT_GT(recorded, 0u) << who;
+    EXPECT_EQ(recorded, stats.recorded) << who;
+    EXPECT_EQ(dropped, stats.dropped) << who;
+  };
+  Rng rng(5);
+  auto sys = problems::make_diagonally_dominant_system(48, 3, 2.0, rng);
+  la::Partition partition = la::Partition::balanced(48, 6);
+  op::JacobiOperator jacobi(sys.a, sys.b, partition);
+  net::MpOptions opt;
+  opt.workers = 3;
+  opt.solve.tol = 1e-9;
+  opt.solve.x_star = op::picard_solve(jacobi, la::zeros(48), 20000, 1e-13);
+  opt.solve.max_seconds = 20.0;
+  opt.obs.trace_level = obs::TraceLevel::kFull;
+  opt.obs.trace_ring_capacity = kCap;
+
+  const net::MpResult mp = net::run_message_passing(jacobi, la::zeros(48), opt);
+  expect_disarmed(mp.obs_events_recorded, mp.obs_events_dropped,
+                  "run_message_passing");
+
+  simnet::WorldOptions wo;
+  wo.mp = opt;
+  wo.mp.workers = 4;
+  wo.mp.solve.max_seconds = 300.0;  // virtual
+  const simnet::WorldResult world =
+      simnet::run_world(jacobi, la::zeros(48), wo);
+  expect_disarmed(world.obs_events_recorded, world.obs_events_dropped,
+                  "simnet::run_world");
+
+  problems::LogisticConfig cfg;
+  cfg.samples = 120;
+  cfg.features = 16;
+  const train::Dataset data = train::make_synthetic_dataset(cfg, 3);
+  train::TrainOptions to;
+  to.workers = 2;
+  to.sgd.max_epochs = 3;
+  to.sgd.max_seconds = 10.0;
+  to.obs.trace_level = obs::TraceLevel::kFull;
+  to.obs.trace_ring_capacity = kCap;
+  const train::TrainResult tr =
+      train::run_training(data, la::zeros(data.features()), to);
+  expect_disarmed(tr.obs_events_recorded, tr.obs_events_dropped,
+                  "run_training");
 }
 
 TEST(EndToEnd, MessagePassingRunWithTracingAndAudit) {

@@ -145,7 +145,7 @@ TEST_F(SimOptionsFixture, PartialTagsAcceptedUnderNewestTagPolicy) {
   opt.x_star = x_star_;
   opt.inner_steps = 3;
   opt.publish_partials = true;
-  opt.overwrite = OverwritePolicy::kNewestTagWins;
+  opt.overwrite = model::OverwritePolicy::kNewestTagWins;
   auto r = run_async_sim(*jacobi_, la::zeros(12), fleet(3), *latency, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_GT(r.partials_sent, 0u);

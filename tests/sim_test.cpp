@@ -195,7 +195,7 @@ TEST_F(SimFixture, NonFifoLastArrivalWinsProducesLabelInversions) {
   opt.max_steps = 6000;
   opt.stop_on_oracle = false;
   opt.fifo = false;
-  opt.overwrite = OverwritePolicy::kLastArrivalWins;
+  opt.overwrite = model::OverwritePolicy::kLastArrivalWins;
   opt.recording = model::LabelRecording::kFull;
   auto result = run_async_sim(jac, la::zeros(8), homogeneous(4, 1.0),
                               *latency, opt);
@@ -204,7 +204,7 @@ TEST_F(SimFixture, NonFifoLastArrivalWinsProducesLabelInversions) {
   // and the same configuration with FIFO + tag filtering has none
   auto latency2 = make_uniform_latency(0.1, 10.0);
   opt.fifo = true;
-  opt.overwrite = OverwritePolicy::kNewestTagWins;
+  opt.overwrite = model::OverwritePolicy::kNewestTagWins;
   auto fifo_result = run_async_sim(jac, la::zeros(8), homogeneous(4, 1.0),
                                    *latency2, opt);
   EXPECT_EQ(fifo_result.trace.per_machine_label_inversions(), 0u);
@@ -224,7 +224,7 @@ TEST_F(SimFixture, NewestTagFilteringGivesPerProcessorMonotoneLabels) {
   opt.max_steps = 8000;
   opt.stop_on_oracle = false;
   opt.fifo = true;
-  opt.overwrite = OverwritePolicy::kNewestTagWins;
+  opt.overwrite = model::OverwritePolicy::kNewestTagWins;
   opt.recording = model::LabelRecording::kFull;
   auto result = run_async_sim(*jacobi_, la::zeros(sys_.dim()),
                               homogeneous(4, 1.0), *latency, opt);

@@ -564,7 +564,7 @@ TEST_F(SimWorldFixture, ChaosOverSimRunsTheDelayModelInVirtualTime) {
   const WorldResult r = run_world(*jacobi_, la::zeros(sys_.dim()), o);
   EXPECT_TRUE(r.all_converged) << "residual " << r.final_residual;
   EXPECT_GT(r.obs_events_recorded, 0u);
-  EXPECT_EQ(obs::trace_clock(), before);  // WorldObs restored the clock
+  EXPECT_EQ(obs::trace_clock(), before);  // the scope restored it
   for (const net::MpResult& rank : r.ranks) {
     ASSERT_GT(rank.delays.count(), 0u);
     // Every measured delay includes the injected hold: the model's

@@ -1123,7 +1123,7 @@ TEST(PartialBlockFrames, IncorporateWritesOnlyTheCarriedRange) {
   m.offset = 2;
   const la::Vector payload{5.0, 6.0, 7.0};
   m.value = payload;
-  net::incorporate(partition, net::OverwritePolicy::kLastArrivalWins, m,
+  net::incorporate(partition, model::OverwritePolicy::kLastArrivalWins, m,
                    view);
   const la::Vector expect{0, 0, 5.0, 6.0, 7.0, 0, 0, 0};
   EXPECT_EQ(view.x, expect);
