@@ -22,7 +22,8 @@
 //   membership/ SWIM-style gossip membership + failure detection for
 //              elastic ranks (join/leave/crash mid-solve) over the
 //              transport control-frame path
-//   transport/ pluggable wire transports: in-process mailbox channels,
+//   transport/ the wire frame and the seeded delay model, plus
+//              pluggable wire transports: in-process mailbox channels,
 //              TCP sockets (loopback/LAN, multi-process), and the chaos
 //              delay/reorder/drop decorator; pooled zero-alloc messaging
 //   net/       message-passing runtime: real threads (or processes — see
@@ -45,7 +46,6 @@
 #include "asyncit/model/steering.hpp"
 #include "asyncit/membership/membership.hpp"
 #include "asyncit/membership/swim.hpp"
-#include "asyncit/net/channel.hpp"
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/net/node_runtime.hpp"
 #include "asyncit/net/peer.hpp"
@@ -77,7 +77,9 @@
 #include "asyncit/trace/csv.hpp"
 #include "asyncit/trace/gantt.hpp"
 #include "asyncit/transport/chaos.hpp"
+#include "asyncit/transport/delivery.hpp"
 #include "asyncit/transport/inproc.hpp"
+#include "asyncit/transport/message.hpp"
 #include "asyncit/transport/tcp.hpp"
 #include "asyncit/transport/transport.hpp"
 #include "asyncit/transport/wire.hpp"

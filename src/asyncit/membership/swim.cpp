@@ -73,7 +73,7 @@ SwimAgent::SwimAgent(std::uint32_t self, std::size_t world,
   ASYNCIT_CHECK(options.suspicion_timeout >= options.ping_timeout);
 }
 
-void SwimAgent::push_frame(std::uint32_t dst, net::MsgKind kind,
+void SwimAgent::push_frame(std::uint32_t dst, transport::MsgKind kind,
                            std::uint32_t target, std::uint64_t seq) {
   ControlFrame f;
   f.dst = dst;
@@ -85,10 +85,10 @@ void SwimAgent::push_frame(std::uint32_t dst, net::MsgKind kind,
   outbox_.push_back(std::move(f));
   Stats& s = table_.stats();
   switch (kind) {
-    case net::MsgKind::kPing: ++s.pings_sent; break;
-    case net::MsgKind::kAck: ++s.acks_sent; break;
-    case net::MsgKind::kPingReq: ++s.ping_reqs_sent; break;
-    case net::MsgKind::kMembershipUpdate: ++s.gossip_frames_sent; break;
+    case transport::MsgKind::kPing: ++s.pings_sent; break;
+    case transport::MsgKind::kAck: ++s.acks_sent; break;
+    case transport::MsgKind::kPingReq: ++s.ping_reqs_sent; break;
+    case transport::MsgKind::kMembershipUpdate: ++s.gossip_frames_sent; break;
     default: break;
   }
 }
@@ -97,7 +97,7 @@ void SwimAgent::heard_from(std::uint32_t src, double now) {
   if (src < last_contact_.size()) last_contact_[src] = now;
 }
 
-void SwimAgent::on_frame(const net::Message& m, double now) {
+void SwimAgent::on_frame(const transport::Message& m, double now) {
   heard_from(m.src, now);
   if (!decode_gossip(m.value, table_.world(), decode_scratch_)) {
     ++table_.stats().control_rejected;
@@ -106,12 +106,12 @@ void SwimAgent::on_frame(const net::Message& m, double now) {
   for (const MembershipUpdate& u : decode_scratch_) table_.apply(u, now);
 
   switch (m.kind) {
-    case net::MsgKind::kPing:
+    case transport::MsgKind::kPing:
       // Answer with our own rank as the target so direct and forwarded
       // acks look identical to the prober.
-      push_frame(m.src, net::MsgKind::kAck, table_.self(), m.tag);
+      push_frame(m.src, transport::MsgKind::kAck, table_.self(), m.tag);
       break;
-    case net::MsgKind::kAck: {
+    case transport::MsgKind::kAck: {
       ++table_.stats().acks_received;
       const std::uint32_t target = m.block;
       std::erase_if(probes_, [&](const Probe& p) {
@@ -122,7 +122,7 @@ void SwimAgent::on_frame(const net::Message& m, double now) {
       for (std::size_t i = 0; i < proxies_.size(); ++i) {
         const ProxyProbe& px = proxies_[i];
         if (px.target == target && px.proxy_seq == m.tag) {
-          push_frame(px.requester, net::MsgKind::kAck, target,
+          push_frame(px.requester, transport::MsgKind::kAck, target,
                      px.requester_seq);
           proxies_.erase(proxies_.begin() + static_cast<std::ptrdiff_t>(i));
           break;
@@ -130,7 +130,7 @@ void SwimAgent::on_frame(const net::Message& m, double now) {
       }
       break;
     }
-    case net::MsgKind::kPingReq: {
+    case transport::MsgKind::kPingReq: {
       const std::uint32_t target = m.block;
       if (target >= table_.world() || target == table_.self()) {
         ++table_.stats().control_rejected;
@@ -138,10 +138,10 @@ void SwimAgent::on_frame(const net::Message& m, double now) {
       }
       const std::uint64_t proxy_seq = ++seq_;
       proxies_.push_back({m.src, m.tag, target, proxy_seq, now});
-      push_frame(target, net::MsgKind::kPing, target, proxy_seq);
+      push_frame(target, transport::MsgKind::kPing, target, proxy_seq);
       break;
     }
-    case net::MsgKind::kMembershipUpdate:
+    case transport::MsgKind::kMembershipUpdate:
       break;  // pure gossip carrier, already applied above
     default:
       ++table_.stats().control_rejected;  // kValue/kStop never route here
@@ -188,7 +188,7 @@ void SwimAgent::broadcast_update(double now) {
   for (std::size_t i = 0; i < n && sent < kUrgentFanout; ++i) {
     const std::uint32_t dst = live[(start + i) % n];
     if (dst == table_.self()) continue;
-    push_frame(dst, net::MsgKind::kMembershipUpdate, dst, 0);
+    push_frame(dst, transport::MsgKind::kMembershipUpdate, dst, 0);
     ++sent;
   }
 }
@@ -214,7 +214,7 @@ void SwimAgent::tick(double now) {
            ++k) {
         const std::uint32_t helper = live[(start + k) % n];
         if (helper == table_.self() || helper == p.target) continue;
-        push_frame(helper, net::MsgKind::kPingReq, p.target, p.seq);
+        push_frame(helper, transport::MsgKind::kPingReq, p.target, p.seq);
         ++sent;
       }
     }
@@ -238,7 +238,7 @@ void SwimAgent::tick(double now) {
     if (target < table_.world()) {
       const std::uint64_t seq = ++seq_;
       probes_.push_back({target, seq, now, false});
-      push_frame(target, net::MsgKind::kPing, target, seq);
+      push_frame(target, transport::MsgKind::kPing, target, seq);
     }
   }
 

@@ -38,8 +38,8 @@
 #include <vector>
 
 #include "asyncit/membership/membership.hpp"
-#include "asyncit/net/channel.hpp"
 #include "asyncit/support/rng.hpp"
+#include "asyncit/transport/message.hpp"
 
 namespace asyncit::membership {
 
@@ -47,7 +47,7 @@ namespace asyncit::membership {
 /// already encoded (gossip entries, 3 doubles each).
 struct ControlFrame {
   std::uint32_t dst = 0;
-  net::MsgKind kind = net::MsgKind::kPing;
+  transport::MsgKind kind = transport::MsgKind::kPing;
   std::uint32_t target = 0;  ///< -> MessageHeader::block
   std::uint64_t seq = 0;     ///< -> MessageHeader::tag
   std::vector<double> payload;
@@ -77,7 +77,7 @@ class SwimAgent {
   /// Handles one received control frame (kind in {kPing, kAck, kPingReq,
   /// kMembershipUpdate}): applies its gossip, answers pings, matches
   /// acks, services indirect probe requests. Replies land in outbox().
-  void on_frame(const net::Message& m, double now);
+  void on_frame(const transport::Message& m, double now);
 
   /// Liveness evidence from ANY received frame (value frames included):
   /// refreshes the contact clock so the prober skips members whose data
@@ -116,8 +116,8 @@ class SwimAgent {
     double started;
   };
 
-  void push_frame(std::uint32_t dst, net::MsgKind kind, std::uint32_t target,
-                  std::uint64_t seq);
+  void push_frame(std::uint32_t dst, transport::MsgKind kind,
+                  std::uint32_t target, std::uint64_t seq);
   /// Next round-robin probe target (reshuffles when the cycle or the
   /// live view changes); world-sentinel when nobody else is live.
   std::uint32_t next_probe_target(double now);

@@ -30,12 +30,12 @@
 
 #include "asyncit/linalg/norms.hpp"
 #include "asyncit/membership/membership.hpp"
-#include "asyncit/net/channel.hpp"
 #include "asyncit/obs/auditor.hpp"
 #include "asyncit/obs/steering.hpp"
 #include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/operators/operator.hpp"
 #include "asyncit/trace/event_log.hpp"
+#include "asyncit/transport/delivery.hpp"
 
 namespace asyncit::transport {
 class Transport;
@@ -90,7 +90,7 @@ struct ChaosOptions {
   /// only in kAsync (see DeliveryPolicy). Ignored by the Transport
   /// overloads (the backend's own delivery behaviour applies there —
   /// stack transport::ChaosTransport for injection over real sockets).
-  DeliveryPolicy delivery;
+  transport::DeliveryPolicy delivery;
 };
 
 /// Wire-efficiency layer (transport/codec.hpp, DESIGN.md §6): per-link
@@ -140,8 +140,8 @@ struct ObsOptions {
   bool audit = false;
   /// Per-source-link delay histograms at each receiver
   /// (MpResult::link_delays). On for the thread-scale runs that always
-  /// had them; simnet::run_world turns it off — one DelayHistogram is
-  /// ~600 B, and world^2 of them at 1000 ranks is ~600 MB of pure
+  /// had them; simnet::run_world turns it off — one obs::Histogram is
+  /// ~330 B, and world^2 of them at 1000 ranks is ~330 MB of pure
   /// bookkeeping. The endpoint-level delays() aggregate is unaffected.
   bool link_delays = true;
 };
@@ -274,7 +274,7 @@ struct MpResult : PeerStats {
   std::vector<std::uint32_t> live_at_exit;
 
   /// Measured post-to-drain delay of every delivered message.
-  DelayHistogram delays;
+  obs::Histogram delays;
 
   // ---- observability (obs/) ----
   /// Per-link measured delay breakdown: messages from `src` drained by
@@ -282,7 +282,7 @@ struct MpResult : PeerStats {
   struct LinkDelay {
     std::uint32_t src = 0;
     std::uint32_t dst = 0;
-    DelayHistogram delays;
+    obs::Histogram delays;
   };
   std::vector<LinkDelay> link_delays;
   /// Per-peer online admissibility reports (ObsOptions::audit); run_node

@@ -87,7 +87,7 @@ struct NodeConfig {
   /// final residual.
   std::size_t sim_runs = 1;
   bool chaos = false;
-  net::DeliveryPolicy chaos_policy;
+  transport::DeliveryPolicy chaos_policy;
   /// Elastic TCP without the SWIM detector: sends to dead peers drop
   /// instead of wedging teardown (the train churn leg; implied by
   /// `membership 1`).

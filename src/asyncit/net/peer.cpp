@@ -27,7 +27,7 @@ constexpr std::uint64_t kNodeStopCheckFactor = 4;
 }  // namespace
 
 void incorporate(const la::Partition& partition,
-                 model::OverwritePolicy policy, const Message& m,
+                 model::OverwritePolicy policy, const transport::Message& m,
                  LocalView& view) {
   auto dst = partition.block_span(std::span<double>(view.x), m.block);
   ASYNCIT_CHECK(m.offset + m.value.size() <= dst.size());
@@ -145,7 +145,7 @@ std::vector<la::BlockId> snapshot_plan(std::size_t num_blocks,
 
 void Peer::incorporate_tracked(const la::Partition& partition,
                                model::OverwritePolicy policy,
-                               const Message& m) {
+                               const transport::Message& m) {
   const bool inversion = m.tag < view_.max_tag[m.block];
   const bool filtered = policy == model::OverwritePolicy::kNewestTagWins &&
                         m.tag <= view_.tags[m.block];
@@ -191,7 +191,7 @@ void Peer::receive() {
   const la::Partition& partition = ctx_.op->partition();
 
   if (bsp && !holdback_.empty()) {
-    for (const Message& m : holdback_) {
+    for (const transport::Message& m : holdback_) {
       if (m.round < round_) {
         incorporate_tracked(partition, policy, m);
         recycle_scratch_.push_back(m);
@@ -205,7 +205,7 @@ void Peer::receive() {
 
   // Handles one drained message; false when BSP holds it back for a
   // later round (it is then recycled only once incorporated).
-  auto consume = [&](const Message& m) -> bool {
+  auto consume = [&](const transport::Message& m) -> bool {
     // Semantic validation BEFORE any field is used as an index: a frame
     // can be wire-valid yet describe another run's geometry (two nodes
     // launched with disagreeing configs). Such a message must be
@@ -216,7 +216,7 @@ void Peer::receive() {
                   static_cast<std::uint8_t>(m.kind), m.src, m.block, 0.0);
       return true;
     }
-    if (m.kind == MsgKind::kStop) {
+    if (m.kind == transport::MsgKind::kStop) {
       // A rank announcing that its local stopping criterion fired (node
       // mode). Gated modes must stop immediately — the departed rank will
       // never complete another round and the SSP/BSP gate would deadlock.
@@ -248,7 +248,7 @@ void Peer::receive() {
       }
       return true;
     }
-    if (is_control(m.kind)) {
+    if (transport::is_control(m.kind)) {
       // SWIM failure-detector traffic (membership/swim.hpp). Without an
       // agent these frames describe a protocol this run does not speak —
       // discard with the same counter as any config mismatch.
@@ -313,7 +313,7 @@ void Peer::receive() {
   };
 
   std::size_t consumed = 0;
-  for (const Message& m : inbox_) {
+  for (const transport::Message& m : inbox_) {
     if (consume(m))
       inbox_[consumed++] = m;
     else
@@ -511,7 +511,7 @@ void Peer::encode_delta(transport::Frame& f, FrameNote& note,
 
 void Peer::broadcast_stop() {
   transport::MessageHeader header;
-  header.kind = MsgKind::kStop;
+  header.kind = transport::MsgKind::kStop;
   const double t = now();
   if (ctx_.membership != nullptr) {
     for (const std::uint32_t dst : ctx_.membership->table().live_ranks()) {

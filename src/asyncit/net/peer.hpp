@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "asyncit/membership/swim.hpp"
-#include "asyncit/net/channel.hpp"
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/operators/operator.hpp"
 #include "asyncit/runtime/shared_iterate.hpp"
@@ -68,7 +67,7 @@ struct LocalView {
 /// Partial-block frames (m.offset > 0 or m.value shorter than the block)
 /// overwrite only the carried coordinate range.
 void incorporate(const la::Partition& partition,
-                 model::OverwritePolicy policy, const Message& m,
+                 model::OverwritePolicy policy, const transport::Message& m,
                  LocalView& view);
 
 /// The blocks `self` should include in a welcome snapshot for `joiner`:
@@ -184,7 +183,8 @@ class Peer {
   /// incorporate() plus the observability taps: inversion events, the
   /// audit bridge's changed-block mask, per-link delay bookkeeping.
   void incorporate_tracked(const la::Partition& partition,
-                           model::OverwritePolicy policy, const Message& m);
+                           model::OverwritePolicy policy,
+                           const transport::Message& m);
   /// Records the stop decision and trips the shared flag.
   void trip_stop(obs::StopReason reason);
   /// The SSP gate slack: the steered bound, or solve.staleness when
@@ -197,14 +197,15 @@ class Peer {
   const std::uint32_t id_;
   LocalView view_;
   transport::Endpoint* endpoint_;
-  std::vector<Message> inbox_;        ///< drain buffer (reused)
+  std::vector<transport::Message> inbox_;  ///< drain buffer (reused)
   /// BSP only: drained messages from rounds this peer has not finished
   /// yet (fast peers may run one round ahead); incorporated once round_
   /// passes them, keeping each round's snapshot exact. They hold their
   /// payload references until then.
-  std::vector<Message> holdback_;
-  std::vector<Message> holdback_keep_;     ///< holdback filter scratch
-  std::vector<Message> recycle_scratch_;   ///< consumed holdback returns
+  std::vector<transport::Message> holdback_;
+  std::vector<transport::Message> holdback_keep_;  ///< holdback filter scratch
+  /// Consumed holdback returns.
+  std::vector<transport::Message> recycle_scratch_;
   la::Vector phase_out_;              ///< block output buffer (reused)
   la::Vector phase_prev_;             ///< phase-start block value (reused)
   la::Vector snapshot_;               ///< BSP per-round frozen view
@@ -282,7 +283,7 @@ class Peer {
   std::size_t trace_budget_ = 0;      ///< remaining events this peer may log
 
   // ---- observability (obs/) ----
-  std::vector<DelayHistogram> link_delays_;  ///< by source rank
+  std::vector<obs::Histogram> link_delays_;  ///< by source rank
   std::unique_ptr<obs::OnlineAuditor> auditor_;
   /// Adaptive-staleness controller (kSsp + solve.adaptive.enabled): the
   /// round-gate slack run() reads is bound() instead of the static

@@ -1,27 +1,11 @@
 #include "asyncit/obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 namespace asyncit::obs {
 
 namespace {
-/// Atomic running-min via CAS (fetch_min for doubles doesn't exist).
-void atomic_min(std::atomic<double>* target, double v) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (v < cur &&
-         !target->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-void atomic_max(std::atomic<double>* target, double v) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (v > cur &&
-         !target->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 void append_double(std::ostringstream* os, double v) {
   if (std::isfinite(v)) {
     *os << v;
@@ -30,69 +14,6 @@ void append_double(std::ostringstream* os, double v) {
   }
 }
 }  // namespace
-
-// ------------------------------------------------------------- Histogram
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets) {
-  edges_.reserve(buckets + 1);
-  const double ratio = std::pow(hi / lo, 1.0 / double(buckets - 1));
-  double e = lo;
-  for (std::size_t i = 0; i < buckets; ++i, e *= ratio) edges_.push_back(e);
-  edges_.push_back(std::numeric_limits<double>::infinity());
-  counts_.resize(edges_.size());
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
-
-void Histogram::observe(double value) {
-  const double d = std::max(0.0, value);
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), d);
-  counts_[static_cast<std::size_t>(it - edges_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(d, std::memory_order_relaxed);
-  atomic_min(&min_, d);
-  atomic_max(&max_, d);
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n ? sum() / double(n) : 0.0;
-}
-
-double Histogram::min() const {
-  const double m = min_.load(std::memory_order_relaxed);
-  return std::isfinite(m) ? m : 0.0;
-}
-
-double Histogram::quantile(double p) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  const double rank = std::clamp(p, 0.0, 1.0) * double(n);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i].load(std::memory_order_relaxed);
-    if (double(seen) >= rank)
-      return std::isinf(edges_[i]) ? max() : edges_[i];
-  }
-  return max();
-}
-
-std::vector<std::uint64_t> Histogram::counts() const {
-  std::vector<std::uint64_t> out(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  return out;
-}
-
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
 
 // ------------------------------------------------------- MetricsRegistry
 
@@ -119,21 +40,10 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return gauges_.back();
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                      double hi) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histogram_index_.find(name);
-  if (it != histogram_index_.end()) return *it->second;
-  histograms_.emplace_back(lo, hi);
-  histogram_index_[name] = &histograms_.back();
-  return histograms_.back();
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& c : counters_) c.reset();
   for (auto& g : gauges_) g.reset();
-  for (auto& h : histograms_) h.reset();
 }
 
 std::string MetricsRegistry::to_json() const {
@@ -153,25 +63,6 @@ std::string MetricsRegistry::to_json() const {
     first = false;
     os << '"' << name << "\":";
     append_double(&os, g->value());
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histogram_index_) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << name << "\":{\"count\":" << h->count() << ",\"mean\":";
-    append_double(&os, h->mean());
-    os << ",\"min\":";
-    append_double(&os, h->min());
-    os << ",\"max\":";
-    append_double(&os, h->max());
-    os << ",\"p50\":";
-    append_double(&os, h->quantile(0.50));
-    os << ",\"p95\":";
-    append_double(&os, h->quantile(0.95));
-    os << ",\"p99\":";
-    append_double(&os, h->quantile(0.99));
-    os << '}';
   }
   os << "}}";
   return os.str();

@@ -50,11 +50,11 @@ struct TopologyConfig {
   /// serialization delay per frame. 0 = infinite.
   double bandwidth = 0.0;
   /// In-order delivery floor per directed link (sim analogue of
-  /// net::DeliveryPolicy::fifo). Off by default: out-of-order delivery
-  /// is the phenomenon under study.
+  /// transport::DeliveryPolicy::fifo). Off by default: out-of-order
+  /// delivery is the phenomenon under study.
   bool fifo = false;
   /// Per-frame loss probability (droppable frames only, exactly the
-  /// net::LinkStamper contract; drop_control extends it to control
+  /// transport::LinkStamper contract; drop_control extends it to control
   /// frames).
   double drop_prob = 0.0;
   bool drop_control = false;

@@ -168,7 +168,8 @@ void SimEndpoint::publish(std::span<const double> base,
     const bool drop_draw =
         topo.drop_prob > 0.0 && link.bernoulli(topo.drop_prob);
     const bool droppable =
-        allow_drop && (!net::is_control(f.header.kind) || topo.drop_control);
+        allow_drop &&
+        (!transport::is_control(f.header.kind) || topo.drop_control);
     if (drop_draw && droppable) {
       ++dropped_;
       continue;
@@ -194,7 +195,7 @@ void SimEndpoint::publish(std::span<const double> base,
     }
     Pending p;
     p.seq = owner_->next_seq_++;
-    net::Message& m = p.msg;
+    transport::Message& m = p.msg;
     m.src = rank_;
     m.block = f.header.block;
     m.tag = f.header.tag;
@@ -228,7 +229,8 @@ void SimEndpoint::publish(std::span<const double> base,
   copied_ += staged.copied();
 }
 
-std::size_t SimEndpoint::drain(double now, std::vector<net::Message>& out) {
+std::size_t SimEndpoint::drain(double now,
+                               std::vector<transport::Message>& out) {
   if (next_ > now) return 0;
   // Partition: unmatured entries stay in front (their order is
   // irrelevant — drains sort), matured ones collect at the back and are
@@ -255,7 +257,8 @@ std::size_t SimEndpoint::drain(double now, std::vector<net::Message>& out) {
   return n;
 }
 
-std::size_t SimEndpoint::receive(double now, std::vector<net::Message>& out) {
+std::size_t SimEndpoint::receive(double now,
+                                 std::vector<transport::Message>& out) {
   SimEngine* engine = owner_->engine_;
   if (engine != nullptr && engine->in_fiber()) {
     // Virtual time moves HERE: one compute draw per drain, charged
@@ -268,7 +271,7 @@ std::size_t SimEndpoint::receive(double now, std::vector<net::Message>& out) {
   return drain(now, out);
 }
 
-void SimEndpoint::recycle(std::vector<net::Message>& consumed) {
+void SimEndpoint::recycle(std::vector<transport::Message>& consumed) {
   transport::release_all(consumed);
 }
 

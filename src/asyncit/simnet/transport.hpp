@@ -46,9 +46,9 @@
 #include <memory>
 #include <vector>
 
-#include "asyncit/net/channel.hpp"
 #include "asyncit/simnet/config.hpp"
 #include "asyncit/simnet/engine.hpp"
+#include "asyncit/support/rng.hpp"
 #include "asyncit/transport/pool.hpp"
 #include "asyncit/transport/transport.hpp"
 
@@ -67,8 +67,9 @@ class SimEndpoint final : public transport::Endpoint {
                std::span<const transport::Frame> frames, double now,
                bool allow_drop,
                std::span<transport::SendReceipt> receipts) override;
-  std::size_t receive(double now, std::vector<net::Message>& out) override;
-  void recycle(std::vector<net::Message>& consumed) override;
+  std::size_t receive(double now,
+                      std::vector<transport::Message>& out) override;
+  void recycle(std::vector<transport::Message>& consumed) override;
   std::uint64_t activity() const override { return activity_; }
   void wait_for_activity(std::uint64_t seen,
                          double timeout_seconds) override;
@@ -76,7 +77,7 @@ class SimEndpoint final : public transport::Endpoint {
   std::uint64_t sent() const override { return sent_; }
   std::uint64_t dropped() const override { return dropped_; }
   std::uint64_t delivered() const override { return delivered_; }
-  net::DelayHistogram delays() const override { return delays_; }
+  obs::Histogram delays() const override { return delays_; }
 
   /// Frames dropped by an active PartitionWindow cut (subset of
   /// dropped()). Partition drops ignore allow_drop: a severed link loses
@@ -88,7 +89,7 @@ class SimEndpoint final : public transport::Endpoint {
 
   struct Pending {
     std::uint64_t seq = 0;  ///< transport-global send counter (tie-break)
-    net::Message msg;
+    transport::Message msg;
   };
   struct PendingEarlier {
     bool operator()(const Pending& a, const Pending& b) const {
@@ -102,7 +103,7 @@ class SimEndpoint final : public transport::Endpoint {
   double compute_draw();
   /// Moves matured frames (deliver_at <= now) to `out` in (deliver_at,
   /// seq) order.
-  std::size_t drain(double now, std::vector<net::Message>& out);
+  std::size_t drain(double now, std::vector<transport::Message>& out);
 
   SimTransport* owner_ = nullptr;
   std::uint32_t rank_ = 0;
@@ -125,7 +126,7 @@ class SimEndpoint final : public transport::Endpoint {
   std::uint64_t dropped_ = 0;
   std::uint64_t partition_dropped_ = 0;
   std::uint64_t delivered_ = 0;
-  net::DelayHistogram delays_;
+  obs::Histogram delays_;
 };
 
 class SimTransport final : public transport::Transport {

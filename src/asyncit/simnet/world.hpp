@@ -16,7 +16,7 @@
 //          routing event timestamps through the active engine — traces
 //          and the admissibility auditor see virtual nanoseconds.
 //   memory per-source link_delays histograms are forced off (O(world^2)
-//          DelayHistograms would dwarf the actual solver state at 1000
+//          obs::Histograms would dwarf the actual solver state at 1000
 //          ranks); endpoint-level delay aggregates remain.
 //
 // Determinism contract: everything a fiber can observe derives from
@@ -60,7 +60,7 @@ struct WorldOptions {
   /// virtual-time variant of chaos-over-tcp: same sender-side seeded
   /// draws, no sockets, no wall clock).
   bool chaos = false;
-  net::DeliveryPolicy chaos_policy;
+  transport::DeliveryPolicy chaos_policy;
 };
 
 struct WorldResult {

@@ -120,7 +120,7 @@ void PsgdServer::maybe_eval() {
   }
 }
 
-void PsgdServer::handle(const net::Message& m) {
+void PsgdServer::handle(const transport::Message& m) {
   const std::size_t W = workers();
   const std::size_t n = ctx_.data->features();
   if (m.src < 1 || m.src > W) {
@@ -130,7 +130,7 @@ void PsgdServer::handle(const net::Message& m) {
     return;
   }
   const std::size_t w = m.src - 1;
-  if (m.kind == net::MsgKind::kStop) {
+  if (m.kind == transport::MsgKind::kStop) {
     if (!worker_stopped_[w]) {
       worker_stopped_[w] = 1;
       ++workers_stopped_;
@@ -138,7 +138,7 @@ void PsgdServer::handle(const net::Message& m) {
     }
     return;
   }
-  if (m.kind != net::MsgKind::kValue || m.block != 0 || m.offset > n ||
+  if (m.kind != transport::MsgKind::kValue || m.block != 0 || m.offset > n ||
       m.value.size() > n - m.offset) {
     ++frames_rejected_;
     obs::record(obs::EventType::kFrameReject,
@@ -248,7 +248,7 @@ void PsgdServer::apply_bsp_round_if_complete() {
 void PsgdServer::finish(bool broadcast_stop) {
   if (broadcast_stop && !stop_broadcast_) {
     transport::MessageHeader h;
-    h.kind = net::MsgKind::kStop;
+    h.kind = transport::MsgKind::kStop;
     const std::size_t W = workers();
     const double t = now();
     for (std::size_t w = 0; w < W; ++w)
@@ -268,7 +268,7 @@ bool PsgdServer::pump() {
       ssp && clock_.active() > 0 ? clock_.min_active() : 0;
 
   const std::size_t got = endpoint_->receive(t, inbox_);
-  for (const net::Message& m : inbox_) {
+  for (const transport::Message& m : inbox_) {
     if (finished_) break;  // target reached mid-drain
     handle(m);
   }
@@ -323,8 +323,8 @@ PsgdWorker::PsgdWorker(const PsgdContext& ctx, std::size_t w,
 bool PsgdWorker::drain() {
   const std::size_t n = ctx_.data->features();
   const std::size_t got = endpoint_->receive(now(), inbox_);
-  for (const net::Message& m : inbox_) {
-    if (m.kind == net::MsgKind::kStop) {
+  for (const transport::Message& m : inbox_) {
+    if (m.kind == transport::MsgKind::kStop) {
       stopped_by_server_ = true;
       finished_ = true;
       continue;
@@ -332,7 +332,7 @@ bool PsgdWorker::drain() {
     // offset on a full params frame is the adaptive-staleness bound, not
     // a placement (psgd.hpp wire mapping) — it is excluded from the
     // geometry validation and read as data below.
-    if (m.kind != net::MsgKind::kValue || m.src != 0 || m.block != 0 ||
+    if (m.kind != transport::MsgKind::kValue || m.src != 0 || m.block != 0 ||
         m.partial || m.value.size() != n) {
       ++frames_rejected_;
       obs::record(obs::EventType::kFrameReject,
@@ -409,7 +409,7 @@ void PsgdWorker::step() {
 void PsgdWorker::finish(bool notify_server) {
   if (notify_server) {
     transport::MessageHeader h;
-    h.kind = net::MsgKind::kStop;
+    h.kind = transport::MsgKind::kStop;
     endpoint_->send(0, h, {}, now(), /*allow_drop=*/false);
   }
   finished_ = true;

@@ -86,7 +86,7 @@ class PsgdServer {
  private:
   double now() const { return ctx_.clock->seconds(); }
   std::size_t workers() const { return ctx_.options->workers; }
-  void handle(const net::Message& m);
+  void handle(const transport::Message& m);
   void apply_delta(std::span<const double> payload, std::uint32_t offset,
                    double factor);
   void apply_bsp_round_if_complete();
@@ -115,7 +115,7 @@ class PsgdServer {
   std::vector<std::uint8_t> pending_full_;
   std::vector<std::uint8_t> worker_stopped_;
 
-  std::vector<net::Message> inbox_;
+  std::vector<transport::Message> inbox_;
   std::vector<transport::Frame> frames_;  ///< broadcast fan-out (reused)
   std::vector<transport::SendReceipt> receipts_;
 
@@ -178,7 +178,7 @@ class PsgdWorker {
   Rng rng_;
   la::Vector x_;       ///< local parameter copy
   la::Vector delta_;   ///< step scratch
-  std::vector<net::Message> inbox_;
+  std::vector<transport::Message> inbox_;
 
   bool finished_ = false;
   bool stopped_by_server_ = false;

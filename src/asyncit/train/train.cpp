@@ -41,11 +41,6 @@ void fill_endpoint_stats(const transport::Endpoint& ep, TrainResult& r) {
 
 TrainResult run_training(const Dataset& data, const la::Vector& x0,
                          const TrainOptions& options) {
-  ASYNCIT_CHECK(options.chaos.delivery.min_latency >= 0.0 &&
-                options.chaos.delivery.max_latency >=
-                    options.chaos.delivery.min_latency);
-  ASYNCIT_CHECK(options.chaos.delivery.drop_prob >= 0.0 &&
-                options.chaos.delivery.drop_prob < 1.0);
   transport::InprocTransport transport(options.workers + 1,
                                        options.chaos.delivery, options.seed);
   return run_training(data, x0, options, transport);

@@ -9,15 +9,10 @@
 namespace asyncit::transport {
 
 ChaosTransport::ChaosTransport(Transport& inner,
-                               const net::DeliveryPolicy& policy,
+                               const DeliveryPolicy& policy,
                                std::uint64_t seed)
     : inner_(&inner) {
-  // Same preconditions the inproc backend enforces: every route into a
-  // delay model validates the policy (drop_prob == 1 would starve the
-  // run into its wall budget with no diagnostic).
-  ASYNCIT_CHECK(policy.min_latency >= 0.0 &&
-                policy.max_latency >= policy.min_latency);
-  ASYNCIT_CHECK(policy.drop_prob >= 0.0 && policy.drop_prob < 1.0);
+  check_policy(policy);
   const std::size_t world = inner.world();
   const std::vector<std::uint32_t> locals = inner.local_ranks();
   endpoints_.resize(world);
@@ -34,7 +29,7 @@ ChaosTransport::ChaosTransport(Transport& inner,
   // draw sequences for the same master seed. The stampers run with
   // fifo=false — ordering is enforced at the receiver instead, because a
   // sender-side floor is meaningless across host clocks.
-  net::DeliveryPolicy draw_policy = policy;
+  DeliveryPolicy draw_policy = policy;
   draw_policy.fifo = false;
   Rng seeder(seed);
   for (std::size_t src = 0; src < world; ++src) {
@@ -58,12 +53,12 @@ SendReceipt ChaosEndpoint::send(std::uint32_t dst,
                                 std::span<const double> value, double now,
                                 bool allow_drop) {
   ASYNCIT_CHECK(dst < links_.size());
-  net::Message probe;  // carries only the stamped timing fields
+  Message probe;  // carries only the stamped timing fields
   // Control frames are exempt from the drop model unless the stress flag
   // opts them in (see DeliveryPolicy::drop_control); the stamper still
   // consumes its draws, keeping the link streams replay-deterministic.
   const bool droppable =
-      allow_drop && (!net::is_control(header.kind) || drop_control_);
+      allow_drop && (!is_control(header.kind) || drop_control_);
   const bool kept = links_[dst].stamp(probe, now, droppable);
   if (!kept) {
     // The loss model decided here (sender-side draw): the trace's
@@ -80,16 +75,10 @@ SendReceipt ChaosEndpoint::send(std::uint32_t dst,
   return {r.sent, now, probe.deliver_at};
 }
 
-std::size_t ChaosEndpoint::receive(double now,
-                                   std::vector<net::Message>& out) {
-  const auto later = [](const Held& a, const Held& b) {
-    return a.m.deliver_at != b.m.deliver_at
-               ? a.m.deliver_at > b.m.deliver_at
-               : a.seq > b.seq;
-  };
+std::size_t ChaosEndpoint::receive(double now, std::vector<Message>& out) {
   staging_.clear();
   inner_->receive(now, staging_);
-  for (net::Message& m : staging_) {
+  for (Message& m : staging_) {
     double release = now + std::max(0.0, m.injected_delay);
     if (fifo_ && m.src < fifo_floor_.size()) {
       release = std::max(release, fifo_floor_[m.src]);
@@ -97,28 +86,18 @@ std::size_t ChaosEndpoint::receive(double now,
     }
     m.t_send = now;  // first seen at this layer (delay measurement base)
     m.deliver_at = release;
-    held_.push_back({held_seq_++, std::move(m)});
-    std::push_heap(held_.begin(), held_.end(), later);
+    held_.push(m);
   }
   staging_.clear();
-  std::size_t n = 0;
-  while (!held_.empty() && held_.front().m.deliver_at <= now) {
-    std::pop_heap(held_.begin(), held_.end(), later);
-    net::Message& m = held_.back().m;
-    delays_.add(now - m.t_send);
-    out.push_back(std::move(m));
-    held_.pop_back();
-    ++n;
-  }
-  if (n > 0 || !held_.empty())
+  const std::size_t n = held_.drain(now, out);
+  if (n > 0 || held_.size() > 0)
     obs::record(obs::EventType::kQueueDepth,
                 static_cast<std::uint8_t>(obs::QueueKind::kChaosHeld),
                 rank(), held_.size(), double(n));
-  delivered_ += n;
   return n;
 }
 
-void ChaosEndpoint::recycle(std::vector<net::Message>& consumed) {
+void ChaosEndpoint::recycle(std::vector<Message>& consumed) {
   inner_->recycle(consumed);
 }
 
@@ -130,25 +109,23 @@ void ChaosEndpoint::wait_for_activity(std::uint64_t seen,
 }
 
 double ChaosEndpoint::next_delivery() const {
-  const double inner_next = inner_->next_delivery();
-  if (held_.empty()) return inner_next;
-  return std::min(inner_next, held_.front().m.deliver_at);
+  return std::min(inner_->next_delivery(), held_.next_delivery());
 }
 
 std::uint64_t ChaosEndpoint::sent() const {
   std::uint64_t n = 0;
-  for (const net::LinkStamper& l : links_) n += l.stamped();
+  for (const LinkStamper& l : links_) n += l.stamped();
   return n;
 }
 
 std::uint64_t ChaosEndpoint::dropped() const {
   std::uint64_t n = 0;
-  for (const net::LinkStamper& l : links_) n += l.dropped();
+  for (const LinkStamper& l : links_) n += l.dropped();
   return n + inner_->dropped();
 }
 
-std::uint64_t ChaosEndpoint::delivered() const { return delivered_; }
+std::uint64_t ChaosEndpoint::delivered() const { return held_.delivered(); }
 
-net::DelayHistogram ChaosEndpoint::delays() const { return delays_; }
+obs::Histogram ChaosEndpoint::delays() const { return held_.delays(); }
 
 }  // namespace asyncit::transport

@@ -1,6 +1,6 @@
 // Chaos decorator: the paper's delay/reorder/drop models over ANY backend.
 //
-// Wraps another Transport and injects a net::DeliveryPolicy at the frame
+// Wraps another Transport and injects a DeliveryPolicy at the frame
 // level, so the delay-model experiments that previously only ran on
 // in-process mailboxes run unchanged over real sockets:
 //
@@ -21,6 +21,8 @@
 //   drop      decided sender-side (deterministic per link), the frame is
 //             simply never submitted to the inner backend.
 //
+// Held frames wait in the same HoldQueue (transport/delivery.hpp) the
+// inproc mailboxes use, so both release in (deliver_at, arrival) order.
 // delays() measures first-seen-to-drain at the receiver: injected hold
 // plus scheduling, the interval the unbounded-delay assumptions of the
 // paper are about. A ChaosEndpoint is driven by its single peer thread
@@ -32,7 +34,7 @@
 #include <memory>
 #include <vector>
 
-#include "asyncit/net/channel.hpp"
+#include "asyncit/transport/delivery.hpp"
 #include "asyncit/transport/transport.hpp"
 
 namespace asyncit::transport {
@@ -45,8 +47,8 @@ class ChaosEndpoint final : public Endpoint {
   SendReceipt send(std::uint32_t dst, const MessageHeader& header,
                    std::span<const double> value, double now,
                    bool allow_drop) override;
-  std::size_t receive(double now, std::vector<net::Message>& out) override;
-  void recycle(std::vector<net::Message>& consumed) override;
+  std::size_t receive(double now, std::vector<Message>& out) override;
+  void recycle(std::vector<Message>& consumed) override;
   std::uint64_t activity() const override;
   void wait_for_activity(std::uint64_t seen,
                          double timeout_seconds) override;
@@ -54,32 +56,18 @@ class ChaosEndpoint final : public Endpoint {
   std::uint64_t sent() const override;
   std::uint64_t dropped() const override;
   std::uint64_t delivered() const override;
-  net::DelayHistogram delays() const override;
+  obs::Histogram delays() const override;
 
  private:
   friend class ChaosTransport;
 
   Endpoint* inner_ = nullptr;
   bool drop_control_ = false;  ///< DeliveryPolicy::drop_control
-  std::vector<net::LinkStamper> links_;  ///< per destination
-  /// A frame awaiting maturity; `seq` (arrival order) breaks
-  /// m.deliver_at ties, so equal release times drain first come, first
-  /// served.
-  struct Held {
-    std::uint64_t seq;
-    net::Message m;
-  };
-  /// Min-heap on (m.deliver_at, seq). Random per-frame latencies insert
-  /// anywhere in the backlog (rate x latency frames), so a sorted vector
-  /// paid O(backlog) per arrival; a flooded receiver then drained slower
-  /// than frames came in and never caught up.
-  std::vector<Held> held_;
-  std::uint64_t held_seq_ = 0;
-  std::vector<net::Message> staging_;    ///< inner drain scratch
-  std::vector<double> fifo_floor_;       ///< per SOURCE link release floor
+  std::vector<LinkStamper> links_;  ///< per destination
+  HoldQueue held_;                  ///< frames awaiting maturity
+  std::vector<Message> staging_;    ///< inner drain scratch
+  std::vector<double> fifo_floor_;  ///< per SOURCE link release floor
   bool fifo_ = false;
-  std::uint64_t delivered_ = 0;
-  net::DelayHistogram delays_;
 };
 
 class ChaosTransport final : public Transport {
@@ -87,7 +75,7 @@ class ChaosTransport final : public Transport {
   /// Decorates `inner` (not owned; must outlive this transport) with
   /// `policy`, seeding per-directed-link streams from `seed` exactly like
   /// InprocTransport does.
-  ChaosTransport(Transport& inner, const net::DeliveryPolicy& policy,
+  ChaosTransport(Transport& inner, const DeliveryPolicy& policy,
                  std::uint64_t seed);
 
   std::size_t world() const override { return inner_->world(); }

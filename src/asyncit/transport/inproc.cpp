@@ -1,24 +1,20 @@
 #include "asyncit/transport/inproc.hpp"
 
+#include <chrono>
+
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/rng.hpp"
 
 namespace asyncit::transport {
 
 InprocTransport::InprocTransport(std::size_t world,
-                                 const net::DeliveryPolicy& policy,
+                                 const DeliveryPolicy& policy,
                                  std::uint64_t seed) {
   ASYNCIT_CHECK(world >= 1);
-  ASYNCIT_CHECK(policy.min_latency >= 0.0 &&
-                policy.max_latency >= policy.min_latency);
-  ASYNCIT_CHECK(policy.drop_prob >= 0.0 && policy.drop_prob < 1.0);
-  mailboxes_.reserve(world);
-  for (std::size_t i = 0; i < world; ++i)
-    mailboxes_.push_back(std::make_unique<net::Mailbox>());
+  check_policy(policy);
   // One independent RNG stream per directed link, derived in the fixed
-  // (src, dst) row-major order of the pre-transport orchestrator: the
-  // latency/drop draw sequence of every link stays a pure function of
-  // (seed, link, message index).
+  // (src, dst) row-major order: the latency/drop draw sequence of every
+  // link stays a pure function of (seed, link, message index).
   Rng seeder(seed);
   endpoints_.reserve(world);
   for (std::size_t src = 0; src < world; ++src) {
@@ -34,7 +30,7 @@ InprocTransport::InprocTransport(std::size_t world,
 }
 
 std::vector<std::uint32_t> InprocTransport::local_ranks() const {
-  std::vector<std::uint32_t> ranks(mailboxes_.size());
+  std::vector<std::uint32_t> ranks(endpoints_.size());
   for (std::size_t i = 0; i < ranks.size(); ++i)
     ranks[i] = static_cast<std::uint32_t>(i);
   return ranks;
@@ -69,8 +65,8 @@ void InprocEndpoint::publish(std::span<const double> base,
   StagedPublish staged(slabs_, base, frames);
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const Frame& f = frames[i];
-    ASYNCIT_CHECK(f.dst < owner_->mailboxes_.size() && f.dst != rank_);
-    net::Message m;
+    ASYNCIT_CHECK(f.dst < owner_->endpoints_.size() && f.dst != rank_);
+    Message m;
     m.src = rank_;
     m.block = f.header.block;
     m.tag = f.header.tag;
@@ -84,7 +80,7 @@ void InprocEndpoint::publish(std::span<const double> base,
     // them in; the stamper consumes its drop draw regardless, so the
     // per-link draw sequence (replay determinism) is kind-independent.
     const bool droppable =
-        allow_drop && (!net::is_control(f.header.kind) || drop_control_);
+        allow_drop && (!is_control(f.header.kind) || drop_control_);
     const bool sent = links_[f.dst].stamp(m, now, droppable);
     receipts[i] = SendReceipt{sent, m.t_send, m.deliver_at};
     if (!sent) continue;
@@ -95,50 +91,67 @@ void InprocEndpoint::publish(std::span<const double> base,
       m.slab = staged.slab();
       retain(m.slab);
     }
-    owner_->mailboxes_[f.dst]->post(m);
+    owner_->endpoints_[f.dst]->post(m);
   }
 }
 
-std::size_t InprocEndpoint::receive(double now,
-                                    std::vector<net::Message>& out) {
-  return owner_->mailboxes_[rank_]->drain(now, out);
+void InprocEndpoint::post(const Message& m) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_.push(m);
+    ++posted_;
+  }
+  cv_.notify_one();
 }
 
-void InprocEndpoint::recycle(std::vector<net::Message>& consumed) {
+std::size_t InprocEndpoint::receive(double now, std::vector<Message>& out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return held_.drain(now, out);
+}
+
+void InprocEndpoint::recycle(std::vector<Message>& consumed) {
   release_all(consumed);
 }
 
 std::uint64_t InprocEndpoint::activity() const {
-  return owner_->mailboxes_[rank_]->posted();
+  std::lock_guard<std::mutex> lock(mu_);
+  return posted_;
 }
 
 void InprocEndpoint::wait_for_activity(std::uint64_t seen,
                                        double timeout_seconds) {
-  owner_->mailboxes_[rank_]->wait_for_post(seen, timeout_seconds);
+  // The caller read activity() before its last receive(), so a post
+  // landing in between ends this wait at once (no lost wakeup).
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
+               [&] { return posted_ > seen; });
 }
 
 double InprocEndpoint::next_delivery() const {
-  return owner_->mailboxes_[rank_]->next_delivery();
+  std::lock_guard<std::mutex> lock(mu_);
+  return held_.next_delivery();
 }
 
 std::uint64_t InprocEndpoint::sent() const {
   std::uint64_t n = 0;
-  for (const net::LinkStamper& l : links_) n += l.stamped();
+  for (const LinkStamper& l : links_) n += l.stamped();
   return n;
 }
 
 std::uint64_t InprocEndpoint::dropped() const {
   std::uint64_t n = 0;
-  for (const net::LinkStamper& l : links_) n += l.dropped();
+  for (const LinkStamper& l : links_) n += l.dropped();
   return n;
 }
 
 std::uint64_t InprocEndpoint::delivered() const {
-  return owner_->mailboxes_[rank_]->delivered();
+  std::lock_guard<std::mutex> lock(mu_);
+  return held_.delivered();
 }
 
-net::DelayHistogram InprocEndpoint::delays() const {
-  return owner_->mailboxes_[rank_]->delays();
+obs::Histogram InprocEndpoint::delays() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return held_.delays();
 }
 
 }  // namespace asyncit::transport

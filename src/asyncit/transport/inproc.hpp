@@ -1,14 +1,14 @@
-// In-process backend: the seeded mailbox channels behind the Transport
+// In-process backend: seeded delay-model channels behind the Transport
 // interface.
 //
-// This is the PR-1 net:: channel machinery (net::Mailbox delivery-order
-// queues, net::LinkStamper per-directed-link latency/drop stamping)
-// verbatim, relocated from the peer loop into an Endpoint. The RNG
-// streams are derived from the master seed in the exact (src, dst)
-// row-major order the old run_message_passing used, and each send
-// performs the same draws in the same order, so the latency/drop sequence
-// of every link is byte-for-byte the pre-transport one — the channel
-// replay-determinism tests hold across the refactor.
+// Each sender stamps its frames with a per-directed-link LinkStamper and
+// posts them into the receiver's mailbox: a HoldQueue (transport/
+// delivery.hpp) behind a mutex, a condition variable and a post counter,
+// so many sender threads feed one receiver. The RNG streams are derived
+// from the master seed in a fixed (src, dst) row-major order and each
+// send performs the same draws in the same order, so the latency/drop
+// sequence of every link is a pure function of (seed, link, message
+// index) — the channel replay-determinism tests pin it.
 //
 // Publishing: publish() copies the payload once into a slab from the
 // SENDER's pool and posts one header per destination into the
@@ -16,15 +16,16 @@
 // and the last one returns the slab to the sender's pool. send() is a
 // one-frame publish.
 //
-// delays() measures post-to-drain (injected latency + scheduling), as
-// before.
+// delays() measures post-to-drain (injected latency + scheduling).
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
-#include "asyncit/net/channel.hpp"
+#include "asyncit/transport/delivery.hpp"
 #include "asyncit/transport/pool.hpp"
 #include "asyncit/transport/transport.hpp"
 
@@ -41,8 +42,8 @@ class InprocEndpoint final : public Endpoint {
   void publish(std::span<const double> base, std::span<const Frame> frames,
                double now, bool allow_drop,
                std::span<SendReceipt> receipts) override;
-  std::size_t receive(double now, std::vector<net::Message>& out) override;
-  void recycle(std::vector<net::Message>& consumed) override;
+  std::size_t receive(double now, std::vector<Message>& out) override;
+  void recycle(std::vector<Message>& consumed) override;
   std::uint64_t activity() const override;
   void wait_for_activity(std::uint64_t seen,
                          double timeout_seconds) override;
@@ -50,7 +51,7 @@ class InprocEndpoint final : public Endpoint {
   std::uint64_t sent() const override;
   std::uint64_t dropped() const override;
   std::uint64_t delivered() const override;
-  net::DelayHistogram delays() const override;
+  obs::Histogram delays() const override;
 
  private:
   friend class InprocTransport;
@@ -58,20 +59,28 @@ class InprocEndpoint final : public Endpoint {
   std::uint32_t rank_ = 0;
   bool drop_control_ = false;  ///< DeliveryPolicy::drop_control
   /// Per-destination stampers, owned and used by this endpoint's peer
-  /// thread alone (the replay-determinism contract of net::LinkStamper).
-  std::vector<net::LinkStamper> links_;
+  /// thread alone (the replay-determinism contract of LinkStamper).
+  std::vector<LinkStamper> links_;
   SlabPool slabs_;  ///< this sender's publish payloads
+
+  // This rank's mailbox: every sender thread posts into it, this
+  // endpoint's peer thread drains it.
+  void post(const Message& m);
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t posted_ = 0;  ///< guarded by mu_
+  HoldQueue held_;            ///< guarded by mu_
 };
 
 class InprocTransport final : public Transport {
  public:
   /// Seeds one RNG stream per directed link from `seed` in (src, dst)
-  /// row-major order — identical derivation to the pre-transport
-  /// orchestrator, including the unused self-link draws.
-  InprocTransport(std::size_t world, const net::DeliveryPolicy& policy,
+  /// row-major order, including the unused self-link draws (the chaos
+  /// decorator derives its streams identically).
+  InprocTransport(std::size_t world, const DeliveryPolicy& policy,
                   std::uint64_t seed);
 
-  std::size_t world() const override { return mailboxes_.size(); }
+  std::size_t world() const override { return endpoints_.size(); }
   std::vector<std::uint32_t> local_ranks() const override;
   Endpoint& endpoint(std::uint32_t rank) override;
   const char* backend() const override { return "inproc"; }
@@ -82,8 +91,7 @@ class InprocTransport final : public Transport {
 
  private:
   friend class InprocEndpoint;
-  std::vector<std::unique_ptr<net::Mailbox>> mailboxes_;  ///< by receiver
-  std::vector<std::unique_ptr<InprocEndpoint>> endpoints_;
+  std::vector<std::unique_ptr<InprocEndpoint>> endpoints_;  ///< by rank
 };
 
 }  // namespace asyncit::transport

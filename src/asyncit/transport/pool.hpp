@@ -2,7 +2,7 @@
 //
 // Same discipline as op::Workspace, applied to what travels: a publish
 // copies its payload ONCE into a pooled, refcounted PayloadSlab that
-// every frame of the fan-out points into (net::Message::value is a view
+// every frame of the fan-out points into (Message::value is a view
 // of it), and every TCP frame borrows a byte buffer that the writer
 // thread hands back after the socket write. Slabs and buffers keep their
 // capacity across trips, so after warm-up the pools reach the
@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "asyncit/net/channel.hpp"
 #include "asyncit/transport/transport.hpp"
 
 namespace asyncit::transport {
@@ -109,8 +108,8 @@ inline void release(PayloadSlab* slab) {
 
 /// Releases every consumed message's slab reference and clears
 /// `consumed` — the whole of Endpoint::recycle for slab-backed backends.
-inline void release_all(std::vector<net::Message>& consumed) {
-  for (const net::Message& m : consumed) release(m.slab);
+inline void release_all(std::vector<Message>& consumed) {
+  for (const Message& m : consumed) release(m.slab);
   consumed.clear();
 }
 

@@ -85,8 +85,8 @@ class TcpEndpoint final : public Endpoint {
   SendReceipt send(std::uint32_t dst, const MessageHeader& header,
                    std::span<const double> value, double now,
                    bool allow_drop) override;
-  std::size_t receive(double now, std::vector<net::Message>& out) override;
-  void recycle(std::vector<net::Message>& consumed) override;
+  std::size_t receive(double now, std::vector<Message>& out) override;
+  void recycle(std::vector<Message>& consumed) override;
   std::uint64_t activity() const override;
   void wait_for_activity(std::uint64_t seen,
                          double timeout_seconds) override;
@@ -94,7 +94,7 @@ class TcpEndpoint final : public Endpoint {
   std::uint64_t sent() const override { return sent_; }
   std::uint64_t dropped() const override;
   std::uint64_t delivered() const override;
-  net::DelayHistogram delays() const override;
+  obs::Histogram delays() const override;
 
  private:
   friend class TcpTransport;
@@ -144,10 +144,10 @@ class TcpEndpoint final : public Endpoint {
 
   mutable std::mutex rx_mu_;
   std::condition_variable rx_cv_;
-  std::vector<net::Message> delivered_;     ///< guarded by rx_mu_
+  std::vector<Message> delivered_;     ///< guarded by rx_mu_
   std::uint64_t activity_ = 0;              ///< guarded by rx_mu_
   std::uint64_t delivered_count_ = 0;       ///< guarded by rx_mu_
-  net::DelayHistogram delays_;              ///< guarded by rx_mu_
+  obs::Histogram delays_;              ///< guarded by rx_mu_
 
   // Touched only by the owning peer thread; read by the orchestrator
   // after the peers are joined (join orders the accesses).
@@ -534,7 +534,7 @@ void TcpTransport::Impl::reader_loop(TcpEndpoint* ep,
     std::size_t off = 0;
     bool notify = false;
     while (off < buf.size()) {
-      net::Message m;
+      Message m;
       PayloadSlab* slab = ep->rx_slabs_.acquire(0);
       std::size_t consumed = 0;
       const DecodeStatus st = decode_frame(
@@ -735,12 +735,12 @@ SendReceipt TcpEndpoint::send(std::uint32_t dst, const MessageHeader& header,
 }
 
 std::size_t TcpEndpoint::receive(double now,
-                                 std::vector<net::Message>& out) {
+                                 std::vector<Message>& out) {
   std::lock_guard<std::mutex> lock(rx_mu_);
   const std::size_t n = delivered_.size();
   if (n == 0) return 0;
   const double drain_time = impl_->clock.seconds();
-  for (net::Message& m : delivered_) {
+  for (Message& m : delivered_) {
     // m.deliver_at holds the arrival stamp on the transport clock; the
     // measured delay is the receiver-observable queueing interval.
     const double delay = std::max(0.0, drain_time - m.deliver_at);
@@ -754,7 +754,7 @@ std::size_t TcpEndpoint::receive(double now,
   return n;
 }
 
-void TcpEndpoint::recycle(std::vector<net::Message>& consumed) {
+void TcpEndpoint::recycle(std::vector<Message>& consumed) {
   release_all(consumed);
 }
 
@@ -788,7 +788,7 @@ std::uint64_t TcpEndpoint::delivered() const {
   return delivered_count_;
 }
 
-net::DelayHistogram TcpEndpoint::delays() const {
+obs::Histogram TcpEndpoint::delays() const {
   std::lock_guard<std::mutex> lock(rx_mu_);
   return delays_;
 }

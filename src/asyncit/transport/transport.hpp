@@ -1,16 +1,13 @@
 // Pluggable wire transport for the message-passing runtime.
 //
-// net::Peer used to talk straight to in-process Mailbox queues, so the
-// "distributed" runtime could only ever simulate communication effects
-// inside one address space. transport/ puts an interface between the peer
-// loop and the medium: a Transport owns the communication fabric of a run
+// transport/ puts an interface between net::Peer's loop and the
+// communication medium: a Transport owns the communication fabric of a run
 // (one Endpoint per locally hosted rank), and a peer sends/receives/waits
 // exclusively through its Endpoint. Three backends implement it:
 //
-//   inproc  (transport/inproc.hpp)  the seeded mailbox channels of PR 1
-//           refactored behind the interface — byte-for-byte the same
-//           latency/drop draw sequences, so channel replay determinism is
-//           unchanged;
+//   inproc  (transport/inproc.hpp)  seeded delay-model mailboxes between
+//           threads of one process (transport/delivery.hpp), replayable
+//           latency/drop draw sequences per link;
 //   tcp     (transport/tcp.hpp)     nonblocking POSIX sockets over
 //           loopback/LAN with the length-prefixed wire format of
 //           transport/wire.hpp and per-peer reader/writer threads — ranks
@@ -27,13 +24,14 @@
 // send() in order" (same receipts, same draws, same delivery order; the
 // simnet replay hash is the oracle). inproc and simnet implement publish
 // natively: the payload is copied ONCE into a refcounted slab owned by
-// the sender's pool (transport/pool.hpp), and every delivered
-// net::Message is a small trivially-copyable header whose `value` is a
-// view into that slab — full frames, delta windows and heartbeats are
-// windows of the base, only codec frames append their own lattice
-// payload. send() on those backends is a one-frame publish. TCP and the
-// decorators (chaos, and any tracing wrapper) override only send() and
-// inherit the default publish, which loops send() in frame order.
+// the sender's pool (transport/pool.hpp), and every delivered Message
+// (transport/message.hpp) is a small trivially-copyable header whose
+// `value` is a view into that slab — full frames, delta windows and
+// heartbeats are windows of the base, only codec frames append their
+// own lattice payload. send() on those backends is a one-frame publish.
+// TCP and the decorators (chaos, and any tracing wrapper) override only
+// send() and inherit the default publish, which loops send() in frame
+// order.
 //
 // Payload lifetime: a received Message::value stays valid until the
 // message is passed to recycle(), which drops the frame's slab
@@ -55,7 +53,8 @@
 #include <span>
 #include <vector>
 
-#include "asyncit/net/channel.hpp"
+#include "asyncit/obs/histogram.hpp"
+#include "asyncit/transport/message.hpp"
 
 namespace asyncit::transport {
 
@@ -65,14 +64,14 @@ struct MessageHeader {
   la::BlockId block = 0;
   model::Step tag = 0;
   std::uint64_t round = 0;
-  std::uint32_t offset = 0;  ///< partial-block frames (see net::Message)
+  std::uint32_t offset = 0;  ///< partial-block frames (see Message)
   bool partial = false;
   /// Partial-range frame that nonetheless finishes the sender's round —
   /// the delta layer emits exactly one complete frame per (block, round)
   /// so gated modes (SSP/BSP) count rounds identically with delta on.
   bool complete = false;
-  net::MsgKind kind = net::MsgKind::kValue;
-  /// Chaos-drawn latency riding the wire (see net::Message); backends
+  MsgKind kind = MsgKind::kValue;
+  /// Chaos-drawn latency riding the wire (see Message); backends
   /// forward it verbatim. 0 outside the chaos decorator.
   double injected_delay = 0.0;
   /// Scalar-quantization lattice (codec frames only; 0 bits = raw
@@ -109,9 +108,8 @@ class Endpoint {
   virtual std::uint32_t rank() const = 0;
 
   /// Sends `value` (a block or sub-block payload) to rank `dst`. `now` is
-  /// the run clock in seconds; `allow_drop` gates the loss model exactly
-  /// like the pre-transport LinkStamper path (only the totally
-  /// asynchronous mode tolerates loss).
+  /// the run clock in seconds; `allow_drop` gates the loss model (only
+  /// the totally asynchronous mode tolerates loss).
   virtual SendReceipt send(std::uint32_t dst, const MessageHeader& header,
                            std::span<const double> value, double now,
                            bool allow_drop) = 0;
@@ -134,13 +132,13 @@ class Endpoint {
   /// Appends every message deliverable at `now` to `out` (delivery order)
   /// and returns the number appended. Each message's payload view stays
   /// valid until the message is passed to recycle().
-  virtual std::size_t receive(double now, std::vector<net::Message>& out) = 0;
+  virtual std::size_t receive(double now, std::vector<Message>& out) = 0;
 
   /// Drops the payload references of consumed messages and clears
   /// `consumed`. Call with exactly the messages consumed from receive()
   /// batches (each once); this is what keeps the steady-state path
   /// allocation-free and the slab pools balanced.
-  virtual void recycle(std::vector<net::Message>& consumed) = 0;
+  virtual void recycle(std::vector<Message>& consumed) = 0;
 
   /// Monotone counter bumped whenever new data may have become
   /// receivable (a post / a frame arrival). Read it BEFORE the last
@@ -162,7 +160,7 @@ class Endpoint {
   virtual std::uint64_t delivered() const = 0;
   /// Measured per-message delays at this receiver (see each backend's
   /// header for what interval is measured).
-  virtual net::DelayHistogram delays() const = 0;
+  virtual obs::Histogram delays() const = 0;
 };
 
 class Transport {
@@ -193,3 +191,12 @@ class Transport {
 };
 
 }  // namespace asyncit::transport
+
+namespace asyncit::net {
+// perfbench/src/ledger.hpp overrides Endpoint with the pre-transport
+// spelling of the wire frame; the benchmark tree is versioned apart from
+// the library, so the old name stays valid for it.
+using transport::Message;
+// The same header names the delays() return type by its old name.
+using DelayHistogram = obs::Histogram;
+}  // namespace asyncit::net

@@ -71,7 +71,7 @@ namespace {
 
 void encode_fields(std::uint32_t src, la::BlockId block, model::Step tag,
                    std::uint64_t round, std::uint32_t offset, bool partial,
-                   bool complete, net::MsgKind kind, double t_send,
+                   bool complete, MsgKind kind, double t_send,
                    double injected_delay, std::uint8_t quant_bits,
                    double quant_min, double quant_scale,
                    std::span<const double> value,
@@ -126,7 +126,7 @@ void encode_fields(std::uint32_t src, la::BlockId block, model::Step tag,
 
 }  // namespace
 
-void encode_frame(const net::Message& m, std::vector<std::uint8_t>& out) {
+void encode_frame(const Message& m, std::vector<std::uint8_t>& out) {
   encode_fields(m.src, m.block, m.tag, m.round, m.offset, m.partial,
                 m.complete, m.kind, m.t_send, m.injected_delay, 0, 0.0, 0.0,
                 m.value, out);
@@ -142,7 +142,7 @@ void encode_frame(std::uint32_t src, const MessageHeader& header,
 }
 
 DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
-                          std::size_t& consumed, net::Message& out,
+                          std::size_t& consumed, Message& out,
                           std::vector<double>& payload,
                           std::uint32_t max_block_doubles) {
   consumed = 0;
@@ -174,7 +174,7 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
   const std::uint8_t flags = p[7];
   if (flags & ~kKnownFlags) return DecodeStatus::kBadFrame;
   const std::uint8_t kind = (flags >> kKindShift) & kKindMask;
-  if (kind >= net::kNumMsgKinds) return DecodeStatus::kBadFrame;
+  if (kind >= kNumMsgKinds) return DecodeStatus::kBadFrame;
   const bool codec = (flags & kFlagCodec) != 0;
   const std::uint32_t count = get_u32(p + 36);
   const std::uint32_t offset = get_u32(p + 32);
@@ -211,7 +211,7 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
   out.offset = offset;
   out.partial = (flags & kFlagPartial) != 0;
   out.complete = (flags & kFlagComplete) != 0;
-  out.kind = static_cast<net::MsgKind>(kind);
+  out.kind = static_cast<MsgKind>(kind);
   out.t_send = get_f64(p + 40);
   out.injected_delay = get_f64(p + 48);
   out.deliver_at = 0.0;

@@ -1,4 +1,4 @@
-// Wire format for net::Message — the byte contract of the TCP backend.
+// Wire format for Message — the byte contract of the TCP backend.
 //
 // A frame is a little-endian length prefix followed by a fixed header and
 // the payload doubles:
@@ -60,7 +60,6 @@
 #include <span>
 #include <vector>
 
-#include "asyncit/net/channel.hpp"
 #include "asyncit/transport/transport.hpp"
 
 namespace asyncit::transport {
@@ -95,11 +94,11 @@ inline constexpr std::size_t wire_frame_bytes(std::size_t count,
 
 /// Serializes `m` into `out` (cleared first; capacity is retained, so a
 /// pooled buffer makes this allocation-free once warm). Always a raw
-/// (non-codec) frame: net::Message carries decoded doubles only.
-void encode_frame(const net::Message& m, std::vector<std::uint8_t>& out);
+/// (non-codec) frame: Message carries decoded doubles only.
+void encode_frame(const Message& m, std::vector<std::uint8_t>& out);
 
 /// Sender-side fast path: encodes straight from the header and payload
-/// span the peer passes to Endpoint::send — no net::Message is
+/// span the peer passes to Endpoint::send — no Message is
 /// materialized on the TX side at all. When header.quant_bits is 8 or 16
 /// the frame is emitted with the codec subheader and each double is
 /// re-quantized against header.quant_min/quant_scale (the peer has
@@ -125,7 +124,7 @@ enum class DecodeStatus {
 /// widest block the receiver could ever incorporate is rejected at
 /// decode time.
 DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
-                          std::size_t& consumed, net::Message& out,
+                          std::size_t& consumed, Message& out,
                           std::vector<double>& payload,
                           std::uint32_t max_block_doubles =
                               kMaxPayloadDoubles);

@@ -231,12 +231,12 @@ TEST(AllocationRegression, InprocMessagingRoundTripAllocatesNothing) {
   // messaging path, not just the update loop (the pre-transport peer
   // allocated a fresh value vector for every message it sent).
   const la::Partition partition = la::Partition::from_sizes({6, 6});
-  transport::InprocTransport tx(2, net::DeliveryPolicy{}, 3);
+  transport::InprocTransport tx(2, transport::DeliveryPolicy{}, 3);
   transport::Endpoint& e0 = tx.endpoint(0);
   transport::Endpoint& e1 = tx.endpoint(1);
   net::LocalView view(la::Vector(12, 0.0), 2);
   la::Vector payload(6, 1.25);
-  std::vector<net::Message> inbox;
+  std::vector<transport::Message> inbox;
   transport::MessageHeader header;
   header.block = 0;
 
@@ -245,7 +245,7 @@ TEST(AllocationRegression, InprocMessagingRoundTripAllocatesNothing) {
       header.tag = static_cast<model::Step>(i + 1);
       e0.send(1, header, payload, 1e-4 * i, /*allow_drop=*/false);
       e1.receive(1e9, inbox);
-      for (const net::Message& m : inbox)
+      for (const transport::Message& m : inbox)
         net::incorporate(partition, model::OverwritePolicy::kLastArrivalWins,
                          m, view);
       e1.recycle(inbox);
@@ -273,16 +273,15 @@ TEST(AllocationRegression, MessagingWithFullTracingStillAllocatesNothing) {
   obs::TraceRecorder::instance().enable(tc);
   obs::Counter& frames = obs::MetricsRegistry::instance().counter(
       "alloc_test.frames");
-  obs::Histogram& delays = obs::MetricsRegistry::instance().histogram(
-      "alloc_test.delay");
+  obs::Histogram delays;
 
   const la::Partition partition = la::Partition::from_sizes({6, 6});
-  transport::InprocTransport tx(2, net::DeliveryPolicy{}, 3);
+  transport::InprocTransport tx(2, transport::DeliveryPolicy{}, 3);
   transport::Endpoint& e0 = tx.endpoint(0);
   transport::Endpoint& e1 = tx.endpoint(1);
   net::LocalView view(la::Vector(12, 0.0), 2);
   la::Vector payload(6, 1.25);
-  std::vector<net::Message> inbox;
+  std::vector<transport::Message> inbox;
   transport::MessageHeader header;
   header.block = 0;
 
@@ -292,18 +291,18 @@ TEST(AllocationRegression, MessagingWithFullTracingStillAllocatesNothing) {
       e0.send(1, header, payload, 1e-4 * i, /*allow_drop=*/false);
       obs::record(obs::EventType::kFrameSend, 0, 1, header.tag, 48.0);
       e1.receive(1e9, inbox);
-      for (const net::Message& m : inbox) {
+      for (const transport::Message& m : inbox) {
         net::incorporate(partition, model::OverwritePolicy::kLastArrivalWins,
                          m, view);
         obs::record(obs::EventType::kFrameRecv, 0, 0, m.tag, 1e-4);
         frames.add(1);
-        delays.observe(1e-4);
+        delays.add(1e-4);
       }
       e1.recycle(inbox);
     }
   };
 
-  round_trip(200);  // warm-up: pools, inbox, ring claim, metric buckets
+  round_trip(200);  // warm-up: pools, inbox, ring claim
 
   const std::uint64_t before = allocations();
   round_trip(400);  // 800 events through a 128-slot ring: 6+ wraps
@@ -318,18 +317,18 @@ TEST(AllocationRegression, ChaosWireFramingSteadyStateAllocatesNothing) {
   // The chaos decorator's hold queue and the wire encoder both recycle:
   // stamping, encoding into a pooled frame, and the receiver-side staging
   // of delayed frames stay off the allocator once warm.
-  net::DeliveryPolicy zero;
+  transport::DeliveryPolicy zero;
   transport::InprocTransport inner(2, zero, 1);
-  net::DeliveryPolicy policy;
+  transport::DeliveryPolicy policy;
   policy.min_latency = 1e-5;
   policy.max_latency = 1e-4;
   transport::ChaosTransport chaos(inner, policy, 9);
   transport::Endpoint& e0 = chaos.endpoint(0);
   transport::Endpoint& e1 = chaos.endpoint(1);
   la::Vector payload(8, 0.5);
-  std::vector<net::Message> inbox;
+  std::vector<transport::Message> inbox;
   std::vector<std::uint8_t> frame;
-  net::Message scratch, decoded;
+  transport::Message scratch, decoded;
   std::vector<double> decoded_payload;
   transport::MessageHeader header;
 
@@ -392,7 +391,7 @@ TEST(AllocationRegression, PsgdDeltaRoundTripSteadyStateAllocatesNothing) {
   ctx.options = &options;
   ctx.clock = &timer;
 
-  transport::InprocTransport tx(2, net::DeliveryPolicy{}, options.seed);
+  transport::InprocTransport tx(2, transport::DeliveryPolicy{}, options.seed);
   train::PsgdServer server(ctx, la::zeros(data.features()),
                            tx.endpoint(0));
   train::PsgdWorker worker(ctx, 0, la::zeros(data.features()),
@@ -495,7 +494,7 @@ struct FanOut {
   std::vector<transport::Frame> frames;
   std::vector<transport::SendReceipt> receipts =
       std::vector<transport::SendReceipt>(7);
-  std::vector<net::Message> inbox;
+  std::vector<transport::Message> inbox;
 
   FanOut() {
     inbox.reserve(64);
@@ -542,7 +541,7 @@ TEST(AllocationRegression, SimnetPublishFanOutAllocatesNothing) {
 }
 
 TEST(AllocationRegression, InprocPublishFanOutAllocatesNothing) {
-  net::DeliveryPolicy policy;
+  transport::DeliveryPolicy policy;
   policy.max_latency = 1e-4;
   policy.drop_prob = 0.1;
   transport::InprocTransport tx(8, policy, 5);

@@ -240,7 +240,7 @@ class AgentHarness {
         if (is_silenced(src)) continue;  // sent into the void
         for (const ControlFrame& f : frames) {
           if (is_silenced(f.dst)) continue;
-          net::Message m;
+          transport::Message m;
           m.src = src;
           m.kind = f.kind;
           m.block = f.target;
@@ -352,7 +352,7 @@ TEST(ElasticTcp, LateRankDialsInAndIsDialedBack) {
 
   WallTimer clock;
   auto wait_receive = [&](Endpoint& ep, std::size_t want,
-                          std::vector<net::Message>& out) {
+                          std::vector<transport::Message>& out) {
     const double deadline = clock.seconds() + 10.0;
     while (out.size() < want && clock.seconds() < deadline) {
       const std::uint64_t seen = ep.activity();
@@ -368,7 +368,7 @@ TEST(ElasticTcp, LateRankDialsInAndIsDialedBack) {
 
   // The launch pair works like the static mesh.
   EXPECT_TRUE(a->endpoint(0).send(1, h, payload, 0.0, false).sent);
-  std::vector<net::Message> got;
+  std::vector<transport::Message> got;
   ASSERT_TRUE(wait_receive(b->endpoint(1), 1, got));
   EXPECT_EQ(got[0].src, 0u);
   b->endpoint(1).recycle(got);
@@ -381,7 +381,7 @@ TEST(ElasticTcp, LateRankDialsInAndIsDialedBack) {
   TcpTransport c(std::move(oc));
   const double t0 = clock.seconds();
   bool delivered = false;
-  std::vector<net::Message> at_a;
+  std::vector<transport::Message> at_a;
   // The first attempt may race the writer's dial; membership retries
   // periodically, so the test retries the same way.
   while (!delivered && clock.seconds() < t0 + 10.0) {
@@ -395,7 +395,7 @@ TEST(ElasticTcp, LateRankDialsInAndIsDialedBack) {
   // ...and rank 0's unconnected out-link to slot 2 redials backward.
   const double t1 = clock.seconds();
   delivered = false;
-  std::vector<net::Message> at_c;
+  std::vector<transport::Message> at_c;
   while (!delivered && clock.seconds() < t1 + 10.0) {
     a->endpoint(0).send(2, h, payload, clock.seconds(), true);
     delivered = wait_receive(c.endpoint(2), 1, at_c);
@@ -461,7 +461,7 @@ TEST(DetectorOverChaosTcp, NoFalseDeathsWhenDelayIsUnderTheTimeout) {
   TcpOptions topts;
   topts.nodes = {{"127.0.0.1", 0}, {"127.0.0.1", 0}, {"127.0.0.1", 0}};
   TcpTransport tcp(std::move(topts));
-  net::DeliveryPolicy policy;
+  transport::DeliveryPolicy policy;
   policy.min_latency = 0.0;
   policy.max_latency = 0.02;  // well under ping_timeout 0.25
   ChaosTransport chaos(tcp, policy, 5);
@@ -490,7 +490,7 @@ TEST(DetectorOverChaosTcp, DelayBeyondTheProbeWindowRaisesSuspicions) {
   TcpOptions topts;
   topts.nodes = {{"127.0.0.1", 0}, {"127.0.0.1", 0}, {"127.0.0.1", 0}};
   TcpTransport tcp(std::move(topts));
-  net::DeliveryPolicy policy;
+  transport::DeliveryPolicy policy;
   policy.min_latency = 0.6;  // every ack misses the 2 x 0.25 s window
   policy.max_latency = 0.9;
   ChaosTransport chaos(tcp, policy, 5);

@@ -9,7 +9,6 @@
 #include <iterator>
 
 #include "asyncit/linalg/norms.hpp"
-#include "asyncit/net/channel.hpp"
 #include "asyncit/net/mp_runtime.hpp"
 #include "asyncit/net/peer.hpp"
 #include "asyncit/obs/watchdog.hpp"
@@ -23,100 +22,6 @@
 
 namespace asyncit::net {
 namespace {
-
-// ------------------------------------------------------------- channels
-
-TEST(DelayHistogram, CountsMeanAndQuantiles) {
-  DelayHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  for (int i = 1; i <= 100; ++i) h.add(1e-3 * i);  // 1ms .. 100ms
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.mean(), 0.0505, 1e-9);
-  EXPECT_NEAR(h.min(), 1e-3, 1e-12);
-  EXPECT_NEAR(h.max(), 0.1, 1e-12);
-  // log-spaced buckets: quantiles are bucket upper edges, so only check
-  // the ordering and a coarse bracket
-  EXPECT_LE(h.quantile(0.1), h.quantile(0.9));
-  EXPECT_GE(h.quantile(0.99), 0.09);
-
-  DelayHistogram other;
-  other.add(1.0);
-  h.merge(other);
-  EXPECT_EQ(h.count(), 101u);
-  EXPECT_NEAR(h.max(), 1.0, 1e-12);
-}
-
-TEST(LinkStamper, ReplayIsDeterministicUnderSeed) {
-  DeliveryPolicy policy;
-  policy.min_latency = 1e-3;
-  policy.max_latency = 5e-2;
-  policy.drop_prob = 0.3;
-  LinkStamper a(policy, 42), b(policy, 42), c(policy, 43);
-  bool any_diff_c = false;
-  for (int i = 0; i < 200; ++i) {
-    Message ma, mb, mc;
-    const double now = 0.1 * i;
-    const bool sa = a.stamp(ma, now, /*allow_drop=*/true);
-    const bool sb = b.stamp(mb, now, /*allow_drop=*/true);
-    const bool sc = c.stamp(mc, now, /*allow_drop=*/true);
-    // same seed: identical latency draws and drop decisions, message by
-    // message — the replay-determinism anchor of the runtime
-    EXPECT_DOUBLE_EQ(ma.deliver_at, mb.deliver_at);
-    EXPECT_EQ(sa, sb);
-    if (sa != sc || ma.deliver_at != mc.deliver_at) any_diff_c = true;
-  }
-  EXPECT_TRUE(any_diff_c);  // different seed: different stream
-  EXPECT_EQ(a.stamped(), 200u);
-  EXPECT_EQ(a.dropped(), b.dropped());
-  EXPECT_GT(a.dropped(), 0u);
-  EXPECT_LT(a.dropped(), 200u);
-}
-
-TEST(LinkStamper, FifoFloorsDeliveryTimes) {
-  DeliveryPolicy policy;
-  policy.min_latency = 1e-3;
-  policy.max_latency = 1e-1;
-  policy.fifo = true;
-  LinkStamper link(policy, 7);
-  double prev = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    Message m;
-    ASSERT_TRUE(link.stamp(m, 1e-4 * i, /*allow_drop=*/true));
-    EXPECT_GE(m.deliver_at, prev);  // in-order delivery guaranteed
-    prev = m.deliver_at;
-  }
-}
-
-TEST(Mailbox, DrainsInDeliveryOrderNotPostOrder) {
-  Mailbox mb;
-  auto make = [](model::Step tag, double t_send, double deliver_at) {
-    Message m;
-    m.tag = tag;
-    m.t_send = t_send;
-    m.deliver_at = deliver_at;
-    return m;
-  };
-  // posted 1, 2, 3 — but message 2 overtakes 1 (smaller latency), and 3
-  // is not deliverable yet
-  mb.post(make(1, 0.0, 0.050));
-  mb.post(make(2, 0.010, 0.020));
-  mb.post(make(3, 0.015, 0.900));
-  std::vector<Message> out;
-  EXPECT_EQ(mb.drain(0.1, out), 2u);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].tag, 2u);  // delivery order, not post order
-  EXPECT_EQ(out[1].tag, 1u);
-  EXPECT_EQ(mb.posted(), 3u);
-  EXPECT_EQ(mb.delivered(), 2u);
-  EXPECT_NEAR(mb.next_delivery(), 0.9, 1e-12);
-  // measured delays: drain time minus send time
-  EXPECT_EQ(mb.delays().count(), 2u);
-  EXPECT_NEAR(mb.delays().max(), 0.1, 1e-9);
-  out.clear();
-  EXPECT_EQ(mb.drain(1.0, out), 1u);
-  EXPECT_EQ(out[0].tag, 3u);
-}
 
 // -------------------------------------------------------- incorporation
 
@@ -154,8 +59,8 @@ class IncorporateTest : public ::testing::Test {
       : partition_(la::Partition::from_sizes({2, 2})),
         view_(la::Vector{0, 0, 0, 0}, 2) {}
 
-  Message block0(model::Step tag, double v) {
-    Message m;
+  transport::Message block0(model::Step tag, double v) {
+    transport::Message m;
     m.block = 0;
     m.tag = tag;
     m.value = payloads_.emplace_back(la::Vector{v, v});

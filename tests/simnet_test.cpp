@@ -149,7 +149,7 @@ transport::MessageHeader value_header(std::uint64_t tag) {
   transport::MessageHeader h;
   h.block = 0;
   h.tag = tag;
-  h.kind = net::MsgKind::kValue;
+  h.kind = transport::MsgKind::kValue;
   return h;
 }
 
@@ -164,7 +164,7 @@ TEST(SimTransport, PassiveDeliveryMaturesAfterTheLinkLatency) {
   ASSERT_TRUE(receipt.sent);
   EXPECT_DOUBLE_EQ(receipt.deliver_at, 1e-3);
 
-  std::vector<net::Message> got;
+  std::vector<transport::Message> got;
   EXPECT_EQ(fabric.endpoint(1).receive(0.5e-3, got), 0u);  // not matured
   ASSERT_EQ(fabric.endpoint(1).receive(2e-3, got), 1u);
   EXPECT_EQ(got[0].src, 0u);
@@ -218,7 +218,7 @@ TEST(SimTransport, FifoFloorKeepsPerLinkOrderUnderHeavyJitter) {
     fifo.endpoint(0).send(1, value_header(tag), payload, 0.0, false);
     loose.endpoint(0).send(1, value_header(tag), payload, 0.0, false);
   }
-  std::vector<net::Message> got;
+  std::vector<transport::Message> got;
   ASSERT_EQ(fifo.endpoint(1).receive(10.0, got), 50u);
   for (std::uint64_t tag = 0; tag < 50; ++tag)
     EXPECT_EQ(got[tag].tag, tag);  // in-order despite the jitter
@@ -250,7 +250,7 @@ TEST(SimTransport, PartitionWindowSeversTheCutAndHeals) {
   // The window end is the heal.
   EXPECT_TRUE(
       fabric.endpoint(0).send(2, value_header(3), payload, 1.5, false).sent);
-  std::vector<net::Message> got;
+  std::vector<transport::Message> got;
   EXPECT_EQ(fabric.endpoint(2).receive(5.0, got), 1u);
   fabric.endpoint(2).recycle(got);
 }
@@ -274,7 +274,7 @@ TEST(SimTransport, SeededDropsReplayExactly) {
   EXPECT_GT(a.endpoint(0).sent() - a.endpoint(0).dropped(), 0u);
   EXPECT_EQ(a.endpoint(0).dropped(), b.endpoint(0).dropped());
 
-  std::vector<net::Message> ga, gb;
+  std::vector<transport::Message> ga, gb;
   ASSERT_EQ(a.endpoint(1).receive(10.0, ga),
             b.endpoint(1).receive(10.0, gb));
   for (std::size_t i = 0; i < ga.size(); ++i)
@@ -289,7 +289,7 @@ TEST(BackendParity, ScriptedSendsDrainInTheSameOrderAsInproc) {
   // Zero-latency topologies on both backends, one scripted driver
   // thread: the delivery ORDER must be the send order on both sides —
   // the determinism bar the engine's (t, seq) tie-break inherits.
-  net::DeliveryPolicy instant;  // min=max=0, no drops
+  transport::DeliveryPolicy instant;  // min=max=0, no drops
   instant.min_latency = 0.0;
   instant.max_latency = 0.0;
   transport::InprocTransport inproc(3, instant, 13);
@@ -307,7 +307,7 @@ TEST(BackendParity, ScriptedSendsDrainInTheSameOrderAsInproc) {
       ++tag;
     }
 
-  std::vector<net::Message> got_inproc, got_sim;
+  std::vector<transport::Message> got_inproc, got_sim;
   ASSERT_EQ(inproc.endpoint(0).receive(1.0, got_inproc), tag);
   ASSERT_EQ(sim.endpoint(0).receive(1.0, got_sim), tag);
   for (std::size_t i = 0; i < got_sim.size(); ++i) {
@@ -354,7 +354,7 @@ struct FanOutScript {
     out.back().header.quant_scale = 0.375 / 65535.0;
     add(1, base);  // a second frame on an already-used link
     add(2, {});
-    out.back().header.kind = net::MsgKind::kStop;
+    out.back().header.kind = transport::MsgKind::kStop;
     return out;
   }
 };
@@ -365,7 +365,7 @@ struct Delivery {
   std::uint64_t tag, round;
   std::uint32_t offset;
   bool partial, complete;
-  net::MsgKind kind;
+  transport::MsgKind kind;
   double t_send, deliver_at;
   std::vector<double> payload;
   bool operator==(const Delivery&) const = default;
@@ -393,10 +393,10 @@ drive_fan_out(Fabric& fabric, std::uint32_t world, bool publish) {
     }
   }
   std::vector<Delivery> seen;
-  std::vector<net::Message> got;
+  std::vector<transport::Message> got;
   for (std::uint32_t dst = 1; dst < world; ++dst) {
     fabric.endpoint(dst).receive(1e9, got);
-    for (const net::Message& m : got)
+    for (const transport::Message& m : got)
       seen.push_back({dst, m.src, m.tag, m.round, m.offset, m.partial,
                       m.complete, m.kind, m.t_send, m.deliver_at,
                       std::vector<double>(m.value.begin(), m.value.end())});
@@ -454,7 +454,7 @@ TEST(PublishParity, SimnetPublishEqualsTheSameFramesSentInOrder) {
 TEST(PublishParity, InprocPublishEqualsTheSameFramesSentInOrder) {
   // Scripted from one thread over inproc: seeded per-link latency and
   // drop streams — publish must consume them exactly as ordered sends.
-  net::DeliveryPolicy policy;
+  transport::DeliveryPolicy policy;
   policy.min_latency = 0.0;
   policy.max_latency = 2e-3;
   policy.drop_prob = 0.2;
@@ -1041,7 +1041,7 @@ TEST_F(SimWorldFixture, EveryPayloadSlabIsHomeAfterQuiesce) {
     });
     engine.run();
     // Quiesce: whatever is still in flight is drained and consumed.
-    std::vector<net::Message> got;
+    std::vector<transport::Message> got;
     for (std::uint32_t r = 0; r <= workers; ++r) {
       fabric.endpoint(r).receive(1e9, got);
       fabric.endpoint(r).recycle(got);

@@ -121,14 +121,14 @@ TEST(DeltaFrame, WireRoundTripPreservesClockAndSupport) {
   transport::encode_frame(/*src=*/2, h, payload, /*t_send=*/1.25, bytes);
   ASSERT_EQ(bytes.size(), transport::frame_bytes(payload.size()));
 
-  net::Message out;
+  transport::Message out;
   std::vector<double> out_payload;
   std::size_t consumed = 0;
   ASSERT_EQ(transport::decode_frame(bytes, consumed, out, out_payload),
             transport::DecodeStatus::kOk);
   EXPECT_EQ(consumed, bytes.size());
   EXPECT_EQ(out.src, 2u);
-  EXPECT_EQ(out.kind, net::MsgKind::kValue);
+  EXPECT_EQ(out.kind, transport::MsgKind::kValue);
   EXPECT_EQ(out.block, 0u);
   EXPECT_EQ(out.tag, 42u);
   EXPECT_EQ(out.round, 17u);

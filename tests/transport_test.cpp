@@ -1,5 +1,7 @@
 // Tests for the transport subsystem: wire-format round trips and garbage
-// rejection, pool recycling, the inproc backend's replay determinism
+// rejection, pool recycling, the delay model's link stamping and hold
+// queue (seeded replay, delivery order, ties in arrival order), the
+// inproc backend's replay determinism
 // behind the interface, real TCP loopback delivery, the chaos decorator's
 // delay/reorder/drop injection, cross-backend parity of the Jacobi
 // problem, and the single-rank node runtime over sockets.
@@ -28,6 +30,7 @@
 #include "asyncit/support/timer.hpp"
 #include "asyncit/transport/chaos.hpp"
 #include "asyncit/transport/codec.hpp"
+#include "asyncit/transport/delivery.hpp"
 #include "asyncit/transport/inproc.hpp"
 #include "asyncit/transport/pool.hpp"
 #include "asyncit/transport/tcp.hpp"
@@ -40,9 +43,9 @@ namespace {
 
 /// A random message whose payload is written into `storage` (the
 /// message's value only views it, so `storage` must outlive the message).
-net::Message random_message(Rng& rng, std::size_t payload,
-                            std::vector<double>& storage) {
-  net::Message m;
+Message random_message(Rng& rng, std::size_t payload,
+                       std::vector<double>& storage) {
+  Message m;
   m.src = static_cast<std::uint32_t>(rng.uniform_index(64));
   m.block = static_cast<la::BlockId>(rng.uniform_index(1024));
   m.tag = rng.next();
@@ -50,8 +53,8 @@ net::Message random_message(Rng& rng, std::size_t payload,
   m.partial = rng.bernoulli(0.5);
   // All six wire kinds, values most often (as in a real run).
   m.kind = rng.bernoulli(0.3)
-               ? static_cast<net::MsgKind>(rng.uniform_index(net::kNumMsgKinds))
-               : net::MsgKind::kValue;
+               ? static_cast<MsgKind>(rng.uniform_index(kNumMsgKinds))
+               : MsgKind::kValue;
   m.offset = static_cast<std::uint32_t>(rng.uniform_index(32));
   m.injected_delay = rng.uniform(0.0, 0.5);
   m.t_send = rng.uniform(0.0, 100.0);
@@ -62,7 +65,7 @@ net::Message random_message(Rng& rng, std::size_t payload,
 }
 
 /// A decode target: the message plus the storage its payload views.
-struct Decoded : net::Message {
+struct Decoded : Message {
   std::vector<double> payload;
 };
 
@@ -74,7 +77,7 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf,
                                  max_block_doubles);
 }
 
-void expect_equal(const net::Message& a, const net::Message& b) {
+void expect_equal(const Message& a, const Message& b) {
   EXPECT_EQ(a.src, b.src);
   EXPECT_EQ(a.block, b.block);
   EXPECT_EQ(a.tag, b.tag);
@@ -101,7 +104,7 @@ TEST(Wire, RoundTripsRandomizedMessages) {
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{128},
         std::size_t{4096}}) {
     for (int rep = 0; rep < 20; ++rep) {
-      const net::Message m = random_message(rng, payload, storage);
+      const Message m = random_message(rng, payload, storage);
       encode_frame(m, frame);
       EXPECT_EQ(frame.size(), frame_bytes(payload));
       std::size_t consumed = 0;
@@ -115,7 +118,7 @@ TEST(Wire, RoundTripsRandomizedMessages) {
 TEST(Wire, HeaderOverloadMatchesMessageOverload) {
   Rng rng(12);
   std::vector<double> storage;
-  const net::Message m = random_message(rng, 17, storage);
+  const Message m = random_message(rng, 17, storage);
   std::vector<std::uint8_t> a, b;
   encode_frame(m, a);
   MessageHeader h;
@@ -133,7 +136,7 @@ TEST(Wire, HeaderOverloadMatchesMessageOverload) {
 TEST(Wire, TruncatedFramesWantMoreBytes) {
   Rng rng(13);
   std::vector<double> storage;
-  const net::Message m = random_message(rng, 9, storage);
+  const Message m = random_message(rng, 9, storage);
   std::vector<std::uint8_t> frame;
   encode_frame(m, frame);
   Decoded out;
@@ -151,7 +154,7 @@ TEST(Wire, TruncatedFramesWantMoreBytes) {
 TEST(Wire, RejectsGarbageFrames) {
   Rng rng(14);
   std::vector<double> storage;
-  const net::Message m = random_message(rng, 5, storage);
+  const Message m = random_message(rng, 5, storage);
   std::vector<std::uint8_t> frame;
   Decoded out;
   std::size_t consumed = 0;
@@ -187,7 +190,7 @@ TEST(Wire, DecodesBackToBackFramesFromOneBuffer) {
   Rng rng(15);
   std::deque<std::vector<double>> storage;
   std::vector<std::uint8_t> stream, frame;
-  std::vector<net::Message> sent;
+  std::vector<Message> sent;
   for (int i = 0; i < 5; ++i) {
     sent.push_back(random_message(rng, 3 + i, storage.emplace_back()));
     encode_frame(sent.back(), frame);
@@ -261,8 +264,8 @@ TEST(Wire, CodecFramesRoundTripToTheExactLattice) {
   std::vector<std::uint8_t> frame;
   Decoded out;
   for (const unsigned bits : {8u, 16u}) {
-    net::Message m = random_message(rng, 24, storage);
-    m.kind = net::MsgKind::kValue;
+    Message m = random_message(rng, 24, storage);
+    m.kind = MsgKind::kValue;
     // Sender-side contract: the payload is roundtripped onto the
     // quantization lattice BEFORE encoding, so the wire trip is lossless
     // relative to what the sender believes it shipped.
@@ -297,7 +300,7 @@ TEST(Wire, CompleteFlagSurvivesTheRoundTrip) {
   std::vector<std::uint8_t> frame;
   Decoded out;
   for (const bool complete : {false, true}) {
-    net::Message m = random_message(rng, 7, storage);
+    Message m = random_message(rng, 7, storage);
     m.partial = true;
     m.complete = complete;
     encode_frame(m, frame);
@@ -310,7 +313,7 @@ TEST(Wire, CompleteFlagSurvivesTheRoundTrip) {
 TEST(Wire, RejectsFramesBeyondTheConfiguredBlockBound) {
   Rng rng(94);
   std::vector<double> storage;
-  net::Message m = random_message(rng, 16, storage);
+  Message m = random_message(rng, 16, storage);
   m.offset = 8;
   std::vector<std::uint8_t> frame;
   encode_frame(m, frame);
@@ -388,7 +391,7 @@ TEST(WireFuzz, MutatedFramesNeverCrashNorOverreadAndClassifyDeterministically) {
     std::vector<std::uint8_t> frame;
     Decoded out;
     for (int iter = 0; iter < kIterations; ++iter) {
-      const net::Message m =
+      const Message m =
           random_message(rng, rng.uniform_index(64), storage);
       encode_frame(m, frame);
       const std::vector<std::uint8_t> fuzzed =
@@ -448,12 +451,12 @@ TEST(WireFuzz, TrainingFrameCorpusSurvivesEveryMutationClass) {
   for (int pass = 0; pass < 2; ++pass) {
     Rng rng(777);
     std::vector<double> delta_payload(23), params_payload(48);
-    std::vector<net::Message> corpus;
+    std::vector<Message> corpus;
     {  // worker -> server delta
-      net::Message d;
+      Message d;
       d.src = 2;
       d.block = 0;
-      d.kind = net::MsgKind::kValue;
+      d.kind = MsgKind::kValue;
       d.partial = true;
       d.offset = 17;
       d.tag = 91;     // send sequence
@@ -463,10 +466,10 @@ TEST(WireFuzz, TrainingFrameCorpusSurvivesEveryMutationClass) {
       corpus.push_back(std::move(d));
     }
     {  // server -> worker parameter version
-      net::Message p;
+      Message p;
       p.src = 0;
       p.block = 0;
-      p.kind = net::MsgKind::kValue;
+      p.kind = MsgKind::kValue;
       p.partial = false;
       p.offset = 0;
       p.tag = 57;    // version (newest wins at the worker)
@@ -476,14 +479,14 @@ TEST(WireFuzz, TrainingFrameCorpusSurvivesEveryMutationClass) {
       corpus.push_back(std::move(p));
     }
     for (const std::uint32_t src : {std::uint32_t{0}, std::uint32_t{3}}) {
-      net::Message s;  // stop frames are payload-free control traffic
+      Message s;  // stop frames are payload-free control traffic
       s.src = src;
-      s.kind = net::MsgKind::kStop;
+      s.kind = MsgKind::kStop;
       corpus.push_back(std::move(s));
     }
     std::vector<std::uint8_t> frame;
     Decoded out;
-    for (const net::Message& m : corpus) {
+    for (const Message& m : corpus) {
       encode_frame(m, frame);
       {  // the unmutated frame must round-trip bit-exactly
         std::size_t consumed = 0;
@@ -540,8 +543,8 @@ TEST(WireFuzz, CodecFrameCorpusSurvivesEveryMutationClass) {
     std::vector<std::uint8_t> frame;
     Decoded out;
     for (const Shape& s : shapes) {
-      net::Message m = random_message(rng, s.payload, storage);
-      m.kind = net::MsgKind::kValue;
+      Message m = random_message(rng, s.payload, storage);
+      m.kind = MsgKind::kValue;
       m.offset = s.offset;
       m.partial = s.partial;
       m.complete = s.complete;
@@ -635,7 +638,7 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     EXPECT_EQ(tx.bad_frames(), expect);
   };
-  auto receive_one = [&](std::vector<net::Message>& got) {
+  auto receive_one = [&](std::vector<Message>& got) {
     WallTimer deadline;
     while (got.empty() && deadline.seconds() < 20.0) {
       const std::uint64_t seen = e1.activity();
@@ -654,11 +657,11 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
   // the counter is for rejections only.
   {
     const int fd = dial_rank0();
-    net::Message m = random_message(rng, 5, storage);
-    m.kind = net::MsgKind::kValue;
+    Message m = random_message(rng, 5, storage);
+    m.kind = MsgKind::kValue;
     encode_frame(m, frame);
     send_bytes(fd, frame);
-    std::vector<net::Message> got;
+    std::vector<Message> got;
     receive_one(got);
     ASSERT_EQ(got.size(), 1u);
     e1.recycle(got);
@@ -670,7 +673,7 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
   // be counted exactly once (the reader kills the stream at the first).
   for (int iter = 0; iter < 10; ++iter) {
     const int fd = dial_rank0();
-    net::Message m = random_message(rng, 1 + rng.uniform_index(8), storage);
+    Message m = random_message(rng, 1 + rng.uniform_index(8), storage);
     encode_frame(m, frame);
     switch (iter % 5) {
       case 0: frame[4] ^= 0xFF; break;                       // magic
@@ -697,8 +700,8 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
   // corrupt continuation is counted, nothing crashes.
   {
     const int fd = dial_rank0();
-    net::Message good = random_message(rng, 4, storage);
-    good.kind = net::MsgKind::kValue;
+    Message good = random_message(rng, 4, storage);
+    good.kind = MsgKind::kValue;
     std::vector<std::uint8_t> stream;
     encode_frame(good, stream);
     encode_frame(random_message(rng, 4, storage), frame);
@@ -706,7 +709,7 @@ TEST(WireFuzz, TcpReaderCountsEveryCorruptStreamInBadFrames) {
     stream.insert(stream.end(), frame.begin(), frame.end());
     send_bytes(fd, stream);
     wait_bad_frames(++expected_bad);
-    std::vector<net::Message> got;
+    std::vector<Message> got;
     receive_one(got);
     EXPECT_EQ(got.size(), 1u);  // the good frame made it out first
     e1.recycle(got);
@@ -746,10 +749,101 @@ TEST(Pools, BytePoolRecyclesCleared) {
   EXPECT_GE(again.capacity(), 128u);
 }
 
+// -------------------------------------------------------------- delivery
+
+TEST(LinkStamper, ReplayIsDeterministicUnderSeed) {
+  DeliveryPolicy policy;
+  policy.min_latency = 1e-3;
+  policy.max_latency = 5e-2;
+  policy.drop_prob = 0.3;
+  LinkStamper a(policy, 42), b(policy, 42), c(policy, 43);
+  bool any_diff_c = false;
+  for (int i = 0; i < 200; ++i) {
+    Message ma, mb, mc;
+    const double now = 0.1 * i;
+    const bool sa = a.stamp(ma, now, /*allow_drop=*/true);
+    const bool sb = b.stamp(mb, now, /*allow_drop=*/true);
+    const bool sc = c.stamp(mc, now, /*allow_drop=*/true);
+    // same seed: identical latency draws and drop decisions, message by
+    // message — the replay-determinism anchor of the runtime
+    EXPECT_DOUBLE_EQ(ma.deliver_at, mb.deliver_at);
+    EXPECT_EQ(sa, sb);
+    if (sa != sc || ma.deliver_at != mc.deliver_at) any_diff_c = true;
+  }
+  EXPECT_TRUE(any_diff_c);  // different seed: different stream
+  EXPECT_EQ(a.stamped(), 200u);
+  EXPECT_EQ(a.dropped(), b.dropped());
+  EXPECT_GT(a.dropped(), 0u);
+  EXPECT_LT(a.dropped(), 200u);
+}
+
+TEST(LinkStamper, FifoFloorsDeliveryTimes) {
+  DeliveryPolicy policy;
+  policy.min_latency = 1e-3;
+  policy.max_latency = 1e-1;
+  policy.fifo = true;
+  LinkStamper link(policy, 7);
+  double prev = 0.0;
+  for (int i = 0; i < 100; ++i) {
+    Message m;
+    ASSERT_TRUE(link.stamp(m, 1e-4 * i, /*allow_drop=*/true));
+    EXPECT_GE(m.deliver_at, prev);  // in-order delivery guaranteed
+    prev = m.deliver_at;
+  }
+}
+
+TEST(HoldQueue, DrainsInDeliveryOrderAndTiesInArrivalOrder) {
+  HoldQueue q;
+  auto make = [](model::Step tag, double t_send, double deliver_at) {
+    Message m;
+    m.tag = tag;
+    m.t_send = t_send;
+    m.deliver_at = deliver_at;
+    return m;
+  };
+  // pushed 1, 2, 3 — but message 2 overtakes 1 (smaller latency), and 3
+  // is not deliverable yet
+  q.push(make(1, 0.0, 0.050));
+  q.push(make(2, 0.010, 0.020));
+  q.push(make(3, 0.015, 0.900));
+  std::vector<Message> out;
+  EXPECT_EQ(q.drain(0.1, out), 2u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].tag, 2u);  // delivery order, not push order
+  EXPECT_EQ(out[1].tag, 1u);
+  EXPECT_EQ(q.delivered(), 2u);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_NEAR(q.next_delivery(), 0.9, 1e-12);
+  // measured delays: drain time minus send time
+  EXPECT_EQ(q.delays().count(), 2u);
+  EXPECT_NEAR(q.delays().max(), 0.1, 1e-9);
+  out.clear();
+  EXPECT_EQ(q.drain(1.0, out), 1u);
+  EXPECT_EQ(out[0].tag, 3u);
+  EXPECT_TRUE(std::isinf(q.next_delivery()));
+
+  // Equal deliver_at: first come, first served, however the ties
+  // interleave with earlier and later frames.
+  out.clear();
+  const model::Step order[] = {10, 11, 12, 13, 14, 15};
+  q.push(make(order[2], 1.0, 2.5));
+  q.push(make(order[3], 1.0, 2.5));
+  q.push(make(99, 1.0, 3.0));
+  q.push(make(order[0], 1.0, 2.0));
+  q.push(make(order[4], 1.0, 2.5));
+  q.push(make(order[1], 1.0, 2.0));
+  q.push(make(order[5], 1.0, 2.5));
+  EXPECT_EQ(q.drain(2.5, out), 6u);
+  ASSERT_EQ(out.size(), 6u);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].tag, order[i]);
+  EXPECT_EQ(q.delivered(), 9u);
+  EXPECT_NEAR(q.next_delivery(), 3.0, 1e-12);
+}
+
 // ----------------------------------------------------------------- inproc
 
 TEST(InprocBackend, DeliversAndReplaysDeterministically) {
-  net::DeliveryPolicy policy;
+  DeliveryPolicy policy;
   policy.min_latency = 1e-3;
   policy.max_latency = 5e-2;
   InprocTransport a(2, policy, 77), b(2, policy, 77), c(2, policy, 78);
@@ -772,7 +866,7 @@ TEST(InprocBackend, DeliversAndReplaysDeterministically) {
     if (ra.deliver_at != rc.deliver_at) any_diff = true;
   }
   EXPECT_TRUE(any_diff);  // different seed: different stream
-  std::vector<net::Message> got;
+  std::vector<Message> got;
   EXPECT_EQ(a.endpoint(1).receive(1e9, got), 100u);
   EXPECT_EQ(a.endpoint(1).delivered(), 100u);
   for (std::size_t i = 1; i < got.size(); ++i)
@@ -809,7 +903,7 @@ TEST(TcpBackend, LoopbackDeliversContentIntactAndInOrder) {
     EXPECT_TRUE(r.sent);
     payloads.push_back(std::move(v));
   }
-  std::vector<net::Message> got;
+  std::vector<Message> got;
   while (got.size() < kCount && clock.seconds() < 10.0) {
     const std::uint64_t seen = e1.activity();
     if (e1.receive(clock.seconds(), got) == 0)
@@ -817,7 +911,7 @@ TEST(TcpBackend, LoopbackDeliversContentIntactAndInOrder) {
   }
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kCount));
   for (int i = 0; i < kCount; ++i) {
-    const net::Message& m = got[static_cast<std::size_t>(i)];
+    const Message& m = got[static_cast<std::size_t>(i)];
     EXPECT_EQ(m.src, 0u);
     EXPECT_EQ(m.tag, static_cast<model::Step>(i + 1));  // TCP link: FIFO
     EXPECT_EQ(m.block, static_cast<la::BlockId>(i % 7));
@@ -834,16 +928,16 @@ TEST(TcpBackend, LoopbackDeliversContentIntactAndInOrder) {
 
   // Control frames survive the wire with their kind intact.
   MessageHeader stop;
-  stop.kind = net::MsgKind::kStop;
+  stop.kind = MsgKind::kStop;
   e1.send(0, stop, {}, clock.seconds(), false);
-  std::vector<net::Message> ctl;
+  std::vector<Message> ctl;
   while (ctl.empty() && clock.seconds() < 10.0) {
     const std::uint64_t seen = e0.activity();
     if (e0.receive(clock.seconds(), ctl) == 0)
       e0.wait_for_activity(seen, 0.05);
   }
   ASSERT_EQ(ctl.size(), 1u);
-  EXPECT_EQ(ctl[0].kind, net::MsgKind::kStop);
+  EXPECT_EQ(ctl[0].kind, MsgKind::kStop);
   EXPECT_TRUE(ctl[0].value.empty());
   e0.recycle(ctl);
 }
@@ -925,9 +1019,9 @@ TEST(TcpBackend, TeardownWithUndrainedBacklogIsBounded) {
 // ------------------------------------------------------------------ chaos
 
 TEST(ChaosDecorator, HoldsFramesForInjectedLatency) {
-  net::DeliveryPolicy zero;  // inner channels deliver immediately
+  DeliveryPolicy zero;  // inner channels deliver immediately
   InprocTransport inner(2, zero, 1);
-  net::DeliveryPolicy policy;
+  DeliveryPolicy policy;
   policy.min_latency = 0.010;
   policy.max_latency = 0.020;
   ChaosTransport chaos(inner, policy, 5);
@@ -938,7 +1032,7 @@ TEST(ChaosDecorator, HoldsFramesForInjectedLatency) {
   h.tag = 1;
   const la::Vector v{3.0};
   ASSERT_TRUE(e0.send(1, h, v, 0.0, false).sent);
-  std::vector<net::Message> got;
+  std::vector<Message> got;
   // First seen at t=0.005: scheduled release within [0.015, 0.025].
   EXPECT_EQ(e1.receive(0.005, got), 0u);
   const double next = e1.next_delivery();
@@ -952,14 +1046,14 @@ TEST(ChaosDecorator, HoldsFramesForInjectedLatency) {
 }
 
 TEST(ChaosDecorator, DrawsTheSameDropSequenceAsInproc) {
-  net::DeliveryPolicy policy;
+  DeliveryPolicy policy;
   policy.min_latency = 1e-4;
   policy.max_latency = 5e-3;
   policy.drop_prob = 0.3;
   constexpr std::uint64_t kSeed = 99;
   constexpr int kCount = 300;
 
-  net::DeliveryPolicy zero;
+  DeliveryPolicy zero;
   InprocTransport inner(2, zero, 1);
   ChaosTransport chaos(inner, policy, kSeed);
   InprocTransport direct(2, policy, kSeed);
@@ -981,10 +1075,10 @@ TEST(ChaosDecorator, DrawsTheSameDropSequenceAsInproc) {
 }
 
 TEST(ChaosDecorator, NonFifoReleaseReordersAndFifoFloorRestoresOrder) {
-  net::DeliveryPolicy zero;
+  DeliveryPolicy zero;
   for (const bool fifo : {false, true}) {
     InprocTransport inner(2, zero, 1);
-    net::DeliveryPolicy policy;
+    DeliveryPolicy policy;
     policy.min_latency = 1e-4;
     policy.max_latency = 5e-2;
     policy.fifo = fifo;
@@ -997,7 +1091,7 @@ TEST(ChaosDecorator, NonFifoReleaseReordersAndFifoFloorRestoresOrder) {
       h.tag = static_cast<model::Step>(i + 1);
       e0.send(1, h, v, 0.0, false);
     }
-    std::vector<net::Message> got;
+    std::vector<Message> got;
     e1.receive(0.0, got);  // stage everything (first seen at t=0)
     while (got.size() < 100) ASSERT_LT(e1.receive(1e9, got), 101u);
     ASSERT_EQ(got.size(), 100u);
@@ -1019,13 +1113,13 @@ TEST(ChaosDecorator, FateDrawsArePayloadWidthInvariant) {
   // must consume the drop and latency streams identically, frame by
   // frame. Without this, enabling wire_delta would silently reseed every
   // chaos experiment.
-  net::DeliveryPolicy policy;
+  DeliveryPolicy policy;
   policy.min_latency = 1e-4;
   policy.max_latency = 5e-3;
   policy.drop_prob = 0.3;
   constexpr std::uint64_t kSeed = 137;
 
-  net::DeliveryPolicy zero;
+  DeliveryPolicy zero;
   InprocTransport inner_a(2, zero, 1), inner_b(2, zero, 1);
   ChaosTransport full(inner_a, policy, kSeed);
   ChaosTransport delta(inner_b, policy, kSeed);
@@ -1068,19 +1162,19 @@ TEST(ChaosDecorator, LossModelSparesControlFramesUnlessOptedIn) {
   // failure detector — control frames must ride through the loss model
   // untouched unless a stress test opts them in (drop_control).
   for (const bool drop_control : {false, true}) {
-    net::DeliveryPolicy zero;
+    DeliveryPolicy zero;
     InprocTransport inner(2, zero, 1);
-    net::DeliveryPolicy policy;
+    DeliveryPolicy policy;
     policy.drop_prob = 0.6;
     policy.drop_control = drop_control;
     ChaosTransport chaos(inner, policy, 11);
     Endpoint& e0 = chaos.endpoint(0);
     MessageHeader h;
     for (int i = 0; i < 200; ++i) {
-      h.kind = (i % 4 == 0) ? net::MsgKind::kStop
-                            : (i % 4 == 1) ? net::MsgKind::kPing
-                            : (i % 4 == 2) ? net::MsgKind::kAck
-                                           : net::MsgKind::kMembershipUpdate;
+      h.kind = (i % 4 == 0) ? MsgKind::kStop
+                            : (i % 4 == 1) ? MsgKind::kPing
+                            : (i % 4 == 2) ? MsgKind::kAck
+                                           : MsgKind::kMembershipUpdate;
       e0.send(1, h, {}, 1e-4 * i, /*allow_drop=*/true);
     }
     if (drop_control)
@@ -1094,13 +1188,13 @@ TEST(ChaosDecorator, LossModelSparesControlFramesUnlessOptedIn) {
   // sequence is byte-for-byte the same (replay determinism).
   std::vector<bool> fates[2];
   for (const bool drop_control : {false, true}) {
-    net::DeliveryPolicy policy;
+    DeliveryPolicy policy;
     policy.drop_prob = 0.5;
     policy.drop_control = drop_control;
     InprocTransport t(2, policy, 21);
     MessageHeader value_h;
     MessageHeader ping_h;
-    ping_h.kind = net::MsgKind::kPing;
+    ping_h.kind = MsgKind::kPing;
     const la::Vector v{1.0};
     std::vector<bool>& value_fate = fates[drop_control ? 1 : 0];
     for (int i = 0; i < 100; ++i) {
@@ -1117,7 +1211,7 @@ TEST(ChaosDecorator, LossModelSparesControlFramesUnlessOptedIn) {
 TEST(PartialBlockFrames, IncorporateWritesOnlyTheCarriedRange) {
   const la::Partition partition = la::Partition::from_sizes({8});
   net::LocalView view(la::Vector(8, 0.0), 1);
-  net::Message m;
+  Message m;
   m.block = 0;
   m.tag = 1;
   m.offset = 2;
@@ -1148,7 +1242,7 @@ TEST(WireFuzz, SemanticallyInvalidFramesLandInFramesRejected) {
   opt.solve.tol = 1e-8;
   opt.solve.x_star = x_star;
   opt.solve.max_seconds = 20.0;
-  InprocTransport tx(2, net::DeliveryPolicy{}, opt.seed);
+  InprocTransport tx(2, DeliveryPolicy{}, opt.seed);
 
   const la::Vector block(8, 0.25);
   MessageHeader h;
@@ -1196,7 +1290,7 @@ TEST(InprocBackend, EveryPayloadSlabIsHomeAfterAThreadedRun) {
       opt.solve.tol = 1e-300;
       opt.solve.max_updates = 4000;
     }
-    net::DeliveryPolicy policy;
+    DeliveryPolicy policy;
     policy.max_latency = 1e-4;
     if (mode == net::Mode::kAsync) policy.drop_prob = 0.2;
     InprocTransport tx(4, policy, 5);
@@ -1207,7 +1301,7 @@ TEST(InprocBackend, EveryPayloadSlabIsHomeAfterAThreadedRun) {
     if (mode == net::Mode::kAsync)
       EXPECT_TRUE(r.converged) << "error " << r.final_error;
     EXPECT_EQ(r.frames_rejected, 1u);
-    std::vector<net::Message> got;
+    std::vector<Message> got;
     for (std::uint32_t rank = 0; rank < 4; ++rank) {
       tx.endpoint(rank).receive(1e9, got);
       tx.endpoint(rank).recycle(got);
@@ -1285,7 +1379,7 @@ TEST_F(BackendParityFixture, ChaosOverTcpRunsTheDelayModelOnRealSockets) {
   TcpOptions topts;
   topts.nodes.assign(4, {"127.0.0.1", 0});
   TcpTransport tcp(std::move(topts));
-  net::DeliveryPolicy policy;
+  DeliveryPolicy policy;
   policy.min_latency = 2e-4;
   policy.max_latency = 2e-3;
   // Loaded host: compress the injected window instead of overrunning

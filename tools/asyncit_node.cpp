@@ -222,7 +222,7 @@ int run_solve_workload(const net::NodeConfig& cfg, std::uint32_t rank,
   // asyncit-node/2 additions, built as strings (the printf below is
   // already at the edge of readability).
   char qb[192];
-  const auto quantiles_json = [&qb](const net::DelayHistogram& h) {
+  const auto quantiles_json = [&qb](const obs::Histogram& h) {
     std::snprintf(qb, sizeof qb,
                   "{\"count\":%llu,\"p50\":%.9g,\"p95\":%.9g,"
                   "\"p99\":%.9g,\"max\":%.9g}",
