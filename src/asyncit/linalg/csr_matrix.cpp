@@ -10,16 +10,21 @@ namespace asyncit::la {
 
 CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets) {
-  for (const auto& t : triplets) {
+  const auto before = [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  // Strictly increasing (row, col) input has exactly one sorted order and
+  // no duplicates, so skipping the sort leaves the result bit-identical.
+  bool strictly_sorted = true;
+  for (std::size_t k = 0; k < triplets.size(); ++k) {
+    const Triplet& t = triplets[k];
     ASYNCIT_CHECK_MSG(t.row < rows && t.col < cols,
                       "triplet (" << t.row << "," << t.col
                                   << ") out of bounds for " << rows << "x"
                                   << cols);
+    if (k > 0 && !before(triplets[k - 1], t)) strictly_sorted = false;
   }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  if (!strictly_sorted) std::sort(triplets.begin(), triplets.end(), before);
 
   CsrMatrix m;
   m.rows_ = rows;

@@ -20,7 +20,8 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Builds from triplets; duplicate (row,col) entries are summed.
+  /// Builds from triplets; duplicate (row,col) entries are summed. Input
+  /// already strictly increasing in (row, col) skips the sort.
   static CsrMatrix from_triplets(std::size_t rows, std::size_t cols,
                                  std::vector<Triplet> triplets);
 

@@ -37,6 +37,7 @@
 #include "asyncit/obs/steering.hpp"
 #include "asyncit/support/rng.hpp"
 #include "asyncit/support/timer.hpp"
+#include "asyncit/train/fit.hpp"
 #include "asyncit/train/sgd.hpp"
 #include "asyncit/train/train.hpp"
 #include "asyncit/transport/transport.hpp"
@@ -51,7 +52,11 @@ struct PsgdContext {
 };
 
 /// Rank 0: folds worker deltas into the authoritative model under the
-/// configured discipline and publishes parameter versions.
+/// configured discipline and publishes parameter versions. Its periodic
+/// eval runs on a FitEvaluator whose helper threads (one per spare
+/// hardware thread, none for a one-chunk dataset) live as long as the
+/// server; the server blocks until the eval is done, so the cadence and
+/// the stop decision are those of a serial eval.
 class PsgdServer {
  public:
   PsgdServer(const PsgdContext& ctx, const la::Vector& x0,
@@ -101,6 +106,7 @@ class PsgdServer {
   PsgdContext ctx_;
   transport::Endpoint* endpoint_;
   la::Vector x_;
+  FitEvaluator fit_;  ///< full-train eval (maybe_eval)
   SspClock clock_;  ///< per-worker completed-step clocks (all disciplines)
   /// Adaptive staleness (kSsp + sgd.adaptive.enabled): decisions re-point
   /// clock_ and are pushed to the workers via the params-frame offset.

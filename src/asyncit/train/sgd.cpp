@@ -13,11 +13,6 @@ double sigmoid(double t) {
                   : std::exp(t) / (1.0 + std::exp(t));
 }
 
-/// log(1 + exp(t)) without overflow.
-double log1pexp(double t) {
-  return t > 0.0 ? t + std::log1p(std::exp(-t)) : std::log1p(std::exp(t));
-}
-
 }  // namespace
 
 DeltaSpan sgd_minibatch_delta(const Dataset& data, la::BlockRange shard,
@@ -52,29 +47,6 @@ DeltaSpan sgd_minibatch_delta(const Dataset& data, la::BlockRange shard,
   std::size_t hi = n;
   while (delta[hi - 1] == 0.0) --hi;
   return {static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi - lo)};
-}
-
-double dataset_loss(const Dataset& data, std::span<const double> x) {
-  const std::size_t m = data.samples();
-  double sum = 0.0;
-  for (std::size_t h = 0; h < m; ++h) {
-    const double z = static_cast<double>(data.labels[h]);
-    sum += log1pexp(-z * data.design.row_dot(h, x));
-  }
-  double sq = 0.0;
-  for (const double xi : x) sq += xi * xi;
-  return sum / static_cast<double>(m) + 0.5 * data.ridge * sq;
-}
-
-double dataset_accuracy(const Dataset& data, std::span<const double> x) {
-  const std::size_t m = data.samples();
-  std::size_t correct = 0;
-  for (std::size_t h = 0; h < m; ++h) {
-    const double score = data.design.row_dot(h, x);
-    const int predicted = score >= 0.0 ? 1 : -1;
-    correct += predicted == data.labels[h];
-  }
-  return static_cast<double>(correct) / static_cast<double>(m);
 }
 
 }  // namespace asyncit::train

@@ -1,11 +1,11 @@
-// Minibatch SGD math + the SSP admission clock.
+// Minibatch SGD math + the SSP admission clock (the full-train loss and
+// accuracy live in train/fit.hpp).
 //
 // Everything here is allocation-free in steady state: the minibatch
 // gradient accumulates into caller-owned scratch (sized once per run),
-// loss/accuracy reduce to scalars over CSR rows, and SspClock is a flat
-// per-worker table. tests/alloc_test.cpp pins the delta path at zero
-// steady-state allocations; tests/train_test.cpp drives SspClock on a
-// virtual clock with no transport at all.
+// and SspClock is a flat per-worker table. tests/alloc_test.cpp pins the
+// delta path at zero steady-state allocations; tests/train_test.cpp
+// drives SspClock on a virtual clock with no transport at all.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +39,6 @@ DeltaSpan sgd_minibatch_delta(const Dataset& data, la::BlockRange shard,
                               std::size_t batch_size, double learning_rate,
                               std::span<const double> x, Rng& rng,
                               std::span<double> delta);
-
-/// Mean logistic loss + ridge over the full dataset. Allocation-free.
-double dataset_loss(const Dataset& data, std::span<const double> x);
-
-/// Fraction of rows classified correctly by sign(⟨a_h, x⟩).
-double dataset_accuracy(const Dataset& data, std::span<const double> x);
 
 /// The SSP bounded-staleness rule on per-worker clocks (yxtj/PSGD's
 /// deltaIter table; the Feyzmahdavian–Johansson bounded-delay setting).

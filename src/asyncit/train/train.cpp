@@ -6,6 +6,7 @@
 #include "asyncit/obs/recorder_scope.hpp"
 #include "asyncit/support/check.hpp"
 #include "asyncit/support/timer.hpp"
+#include "asyncit/train/fit.hpp"
 #include "asyncit/train/psgd.hpp"
 #include "asyncit/transport/inproc.hpp"
 
@@ -91,8 +92,9 @@ TrainResult run_training(const Dataset& data, const la::Vector& x0,
 
   result.x = server.model();
   result.converged = server.target_reached();
-  result.final_loss = dataset_loss(data, result.x);
-  result.final_accuracy = dataset_accuracy(data, result.x);
+  const Fit fit = dataset_fit(data, result.x);
+  result.final_loss = fit.loss;
+  result.final_accuracy = fit.accuracy;
   result.rounds = server.rounds();
   result.versions = server.versions();
   result.deltas_applied = server.deltas_applied();
@@ -187,9 +189,11 @@ TrainResult run_training_node(const Dataset& data, const la::Vector& x0,
                 result.wall_seconds
           : 0.0;
   // Every rank rebuilds the dataset, so every rank can report full-train
-  // metrics of the model it ended with.
-  result.final_loss = dataset_loss(data, result.x);
-  result.final_accuracy = dataset_accuracy(data, result.x);
+  // metrics of the model it ended with; dataset_fit returns the same bits
+  // as the server's evals for the same x.
+  const Fit fit = dataset_fit(data, result.x);
+  result.final_loss = fit.loss;
+  result.final_accuracy = fit.accuracy;
   fill_endpoint_stats(endpoint, result);
   recorder.finish(result.obs_events_recorded, result.obs_events_dropped);
   return result;

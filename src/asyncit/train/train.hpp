@@ -64,7 +64,10 @@ struct SgdOptions {
   double target_accuracy = 0.0;
   /// Server eval cadence: every N applied deltas (kTap/kSsp) or every N
   /// completed rounds (kBsp) the server computes full-train loss +
-  /// accuracy (allocation-free scalar sweep).
+  /// accuracy on the apply path. The eval is one fused pass over fixed
+  /// row chunks that the server's helper threads share (train/fit.hpp);
+  /// the server blocks until it is done, and its bits do not depend on
+  /// the thread count. Allocation-free.
   std::uint64_t eval_every = 8;
 };
 

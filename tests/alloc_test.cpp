@@ -34,6 +34,7 @@
 #include "asyncit/support/rng.hpp"
 #include "asyncit/support/timer.hpp"
 #include "asyncit/train/dataset.hpp"
+#include "asyncit/train/fit.hpp"
 #include "asyncit/train/psgd.hpp"
 #include "asyncit/transport/chaos.hpp"
 #include "asyncit/transport/inproc.hpp"
@@ -414,6 +415,67 @@ TEST(AllocationRegression, PsgdDeltaRoundTripSteadyStateAllocatesNothing) {
   EXPECT_FALSE(worker.finished());
   EXPECT_GE(server.deltas_applied(), 400u);
   EXPECT_GE(server.last_accuracy(), 0.0) << "eval never ran in the window";
+}
+
+TEST(AllocationRegression, PsgdMultiChunkEvalDispatchAllocatesNothing) {
+  // The delta round trip above on a dataset of four eval chunks, so the
+  // server's periodic eval dispatches its FitEvaluator helpers inside the
+  // measured window. A second evaluator with a fixed two helpers runs in
+  // the window too, so dispatch is measured even on a host whose
+  // hardware-thread count gives the server's pool no helper.
+  problems::LogisticConfig dcfg;
+  dcfg.samples = 3 * train::kFitChunkRows + 100;
+  dcfg.features = 16;
+  dcfg.density = 0.3;
+  dcfg.separation = 3.0;
+  dcfg.label_noise = 0.0;
+  dcfg.ridge = 0.01;
+  const train::Dataset data = train::make_synthetic_dataset(dcfg, 21);
+  ASSERT_GE(train::fit_chunks(data), 3u);
+
+  train::TrainOptions options;
+  options.workers = 1;
+  options.seed = 21;
+  options.sgd.discipline = train::Discipline::kTap;
+  options.sgd.learning_rate = 0.3;
+  options.sgd.batch_size = 8;
+  options.sgd.max_epochs = 1000000;
+  options.sgd.max_seconds = 1e9;
+  options.sgd.target_accuracy = 0.0;
+  options.sgd.eval_every = 8;
+
+  WallTimer timer;
+  train::PsgdContext ctx;
+  ctx.data = &data;
+  ctx.options = &options;
+  ctx.clock = &timer;
+
+  transport::InprocTransport tx(2, transport::DeliveryPolicy{}, options.seed);
+  train::PsgdServer server(ctx, la::zeros(data.features()),
+                           tx.endpoint(0));
+  train::PsgdWorker worker(ctx, 0, la::zeros(data.features()),
+                           tx.endpoint(1));
+  train::FitEvaluator pool(data, 2);
+
+  double accuracy_sum = 0.0;
+  auto co_drive = [&](int slices) {
+    for (int i = 0; i < slices; ++i) {
+      worker.pump();
+      server.pump();
+      if (i % 16 == 0) accuracy_sum += pool.fit(worker.model()).accuracy;
+    }
+  };
+
+  co_drive(200);
+
+  const std::uint64_t before = allocations();
+  co_drive(400);
+  const std::uint64_t during = allocations() - before;
+  EXPECT_EQ(during, 0u) << "multi-chunk eval dispatch allocated";
+  EXPECT_FALSE(server.finished());
+  EXPECT_GE(server.deltas_applied(), 400u);
+  EXPECT_GE(server.last_accuracy(), 0.0) << "eval never ran in the window";
+  EXPECT_GT(accuracy_sum, 0.0);
 }
 
 /// Forwards block updates to `inner` and samples the global allocation

@@ -2,6 +2,7 @@
 // matrices, partitions, weighted max norms, spectral estimates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "asyncit/linalg/csr_matrix.hpp"
@@ -90,6 +91,24 @@ TEST(CsrMatrix, FromTripletsSumsDuplicates) {
   EXPECT_DOUBLE_EQ(m.at(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 4.0);
   EXPECT_DOUBLE_EQ(m.at(0, 1), 0.0);
+}
+
+TEST(CsrMatrix, FromTripletsSortedAndShuffledInputAgree) {
+  // Strictly row-major input skips the sort; the result must be the one
+  // the sorting path builds from the same entries in any order.
+  Rng rng(3);
+  std::vector<Triplet> sorted;
+  for (std::uint32_t r = 0; r < 40; ++r)
+    for (std::uint32_t c = 0; c < 30; ++c)
+      if (rng.bernoulli(0.2)) sorted.push_back({r, c, rng.normal()});
+  std::vector<Triplet> shuffled = sorted;
+  rng.shuffle(shuffled);
+  const auto a = CsrMatrix::from_triplets(40, 30, sorted);
+  const auto b = CsrMatrix::from_triplets(40, 30, std::move(shuffled));
+  ASSERT_EQ(a.nnz(), sorted.size());
+  EXPECT_TRUE(std::ranges::equal(a.row_ptr(), b.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(a.col_idx(), b.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(a.values(), b.values()));
 }
 
 TEST(CsrMatrix, MatvecMatchesDense) {

@@ -1,9 +1,12 @@
 // Tests for the parameter-server training mode (train/): the SSP
 // admission clock on a virtual schedule, delta support spans, the
-// delta-frame wire round trip, BSP bit-exact parity against a serial
+// delta-frame wire round trip, the chunked full-train fit and its
+// helper-count independence, BSP bit-exact parity against a serial
 // minibatch-SGD oracle, convergence of all three disciplines on the
-// synthetic logistic set, and the per-rank run_training_node entry.
+// synthetic logistic set, the server's eval cadence, and the per-rank
+// run_training_node entry.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -11,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "asyncit/linalg/vector_ops.hpp"
+#include "asyncit/obs/trace_recorder.hpp"
 #include "asyncit/problems/synthetic.hpp"
+#include "asyncit/train/fit.hpp"
 #include "asyncit/train/psgd.hpp"
 #include "asyncit/train/sgd.hpp"
 #include "asyncit/train/train.hpp"
@@ -139,6 +144,88 @@ TEST(DeltaFrame, WireRoundTripPreservesClockAndSupport) {
     EXPECT_EQ(out.value[i], payload[i]);
 }
 
+/// A noisy instance of `chunks` full eval chunks plus a short tail, so
+/// the last chunk is partial.
+train::Dataset multi_chunk_dataset(std::size_t chunks, std::uint64_t seed) {
+  problems::LogisticConfig cfg;
+  cfg.samples = chunks * train::kFitChunkRows + 777;
+  cfg.features = 64;
+  cfg.density = 0.1;
+  cfg.separation = 1.0;
+  cfg.label_noise = 0.1;
+  cfg.ridge = 0.01;
+  return train::make_synthetic_dataset(cfg, seed);
+}
+
+TEST(DatasetFit, ChunkedFitIsIndependentOfHelperCount) {
+  // Eleven chunks: enough partials that summing them in any other order
+  // than chunk order changes the loss bits.
+  const train::Dataset data = multi_chunk_dataset(10, /*seed=*/5);
+  ASSERT_NE(data.samples() % train::kFitChunkRows, 0u);
+  ASSERT_EQ(train::fit_chunks(data), 11u);
+  const std::size_t m = data.samples();
+
+  Rng rng(11);
+  la::Vector x(data.features());
+  for (double& xi : x) xi = rng.normal(0.0, 0.5);
+  la::Vector x2 = x;
+  for (double& xi : x2) xi *= -0.25;
+
+  // Plain serial references: one row loop, no chunks.
+  const auto reference = [&](const la::Vector& v, double& loss,
+                             std::size_t& correct) {
+    double sum = 0.0;
+    correct = 0;
+    for (std::size_t h = 0; h < m; ++h) {
+      const double s = data.design.row_dot(h, v);
+      const double t = -static_cast<double>(data.labels[h]) * s;
+      sum += t > 0.0 ? t + std::log1p(std::exp(-t)) : std::log1p(std::exp(t));
+      correct += (s >= 0.0 ? 1 : -1) == data.labels[h];
+    }
+    double sq = 0.0;
+    for (const double vi : v) sq += vi * vi;
+    loss = sum / static_cast<double>(m) + 0.5 * data.ridge * sq;
+  };
+
+  for (const la::Vector* v : {&x, &x2}) {
+    double ref_loss = 0.0;
+    std::size_t ref_correct = 0;
+    reference(*v, ref_loss, ref_correct);
+    const train::Fit serial = train::dataset_fit(data, *v);
+    EXPECT_EQ(serial.accuracy,
+              static_cast<double>(ref_correct) / static_cast<double>(m));
+    EXPECT_NEAR(serial.loss, ref_loss, 1e-12 * std::abs(ref_loss));
+    EXPECT_GT(serial.accuracy, 0.0);
+    EXPECT_LT(serial.accuracy, 1.0);
+  }
+
+  const train::Fit serial = train::dataset_fit(data, x);
+  const train::Fit serial2 = train::dataset_fit(data, x2);
+  for (const std::size_t helpers : {0u, 1u, 3u}) {
+    train::FitEvaluator pool(data, helpers);
+    ASSERT_EQ(pool.helpers(), helpers);
+    // Repeated and alternating calls re-dispatch the same helpers.
+    for (int rep = 0; rep < 3; ++rep) {
+      const train::Fit f = pool.fit(x);
+      EXPECT_EQ(f.loss, serial.loss) << helpers << " helpers";
+      EXPECT_EQ(f.accuracy, serial.accuracy) << helpers << " helpers";
+      const train::Fit f2 = pool.fit(x2);
+      EXPECT_EQ(f2.loss, serial2.loss) << helpers << " helpers";
+      EXPECT_EQ(f2.accuracy, serial2.accuracy) << helpers << " helpers";
+    }
+  }
+}
+
+TEST(DatasetFit, OneChunkDatasetSpawnsNoHelper) {
+  const train::Dataset data =
+      train::make_synthetic_dataset(easy_config(), /*seed=*/7);
+  ASSERT_EQ(train::fit_chunks(data), 1u);
+  EXPECT_EQ(train::FitEvaluator::default_helpers(data), 0u);
+  const train::Dataset big = multi_chunk_dataset(3, /*seed=*/5);
+  EXPECT_LE(train::FitEvaluator::default_helpers(big),
+            train::fit_chunks(big) - 1);
+}
+
 TEST(TrainBsp, BitExactParityWithSerialOracle) {
   // samples divisible by workers => equal shards => equal step budgets,
   // so every worker participates in every round and the distributed run
@@ -237,6 +324,37 @@ TEST(TrainTap, SurvivesLossyChaosDelivery) {
   EXPECT_TRUE(r.converged);
   EXPECT_GE(r.final_accuracy, 0.95);
   EXPECT_GT(r.messages_dropped, 0u);
+}
+
+TEST(TrainTap, EveryCadenceEvalRuns) {
+  // The server evaluates at every eval_every-th applied delta, on the
+  // apply path, with the helper pool of a multi-chunk dataset: no eval is
+  // skipped or coalesced. Each eval records one kTrainStep subcode-2
+  // event whose b is the delta count it ran at.
+  const train::Dataset data = multi_chunk_dataset(3, /*seed=*/3);
+  train::TrainOptions options = base_options(train::Discipline::kTap);
+  options.sgd.learning_rate = 0.1;
+  options.sgd.batch_size = 64;
+  options.sgd.max_epochs = 1;
+  options.sgd.target_accuracy = 0.0;  // run the whole budget
+  options.sgd.eval_every = 4;
+  options.obs.trace_level = obs::TraceLevel::kFull;
+  options.obs.trace_ring_capacity = std::size_t{1} << 16;
+  const train::TrainResult r =
+      train::run_training(data, la::zeros(data.features()), options);
+  ASSERT_EQ(r.obs_events_dropped, 0u);
+  ASSERT_GT(r.deltas_applied, options.sgd.eval_every);
+
+  std::vector<obs::Event> events;
+  obs::TraceRecorder::instance().snapshot(&events);
+  std::vector<std::uint64_t> eval_at;
+  for (const obs::Event& e : events)
+    if (e.type == obs::EventType::kTrainStep && e.sub == 2)
+      eval_at.push_back(e.b);
+  std::sort(eval_at.begin(), eval_at.end());
+  ASSERT_EQ(eval_at.size(), r.deltas_applied / options.sgd.eval_every);
+  for (std::size_t k = 0; k < eval_at.size(); ++k)
+    EXPECT_EQ(eval_at[k], (k + 1) * options.sgd.eval_every) << "eval " << k;
 }
 
 TEST(TrainNode, PerRankEntryReachesTargetAndStopsWorkers) {

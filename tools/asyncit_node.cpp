@@ -7,8 +7,8 @@
 // and spawns one asyncit_node per rank:
 //
 //   scripts/launch_cluster.py --workers 4 --dim 128 --blocks 8
-//   scripts/launch_cluster.py --workload train --workers 4 \
-//       --target-accuracy 0.95
+//   scripts/launch_cluster.py --workload train --workers 4
+//       --target-accuracy 0.95        (one command, wrapped here)
 //
 // Manual use:
 //   asyncit_node --config cluster.cfg --rank 2
