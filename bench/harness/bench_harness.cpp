@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -35,102 +34,34 @@ void Json::push_back(Json v) {
   items_.push_back(std::move(v));
 }
 
-namespace {
-
-void escape_to(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void indent_to(std::string& out, int depth) {
-  out.append(static_cast<std::size_t>(depth) * 2, ' ');
-}
-
-}  // namespace
-
-void Json::dump_to(std::string& out, int depth) const {
+void Json::write(JsonWriter& w) const {
   switch (kind_) {
-    case Kind::kNull:
-      out += "null";
+    case Kind::kNull: w.null(); break;
+    case Kind::kBool: w.value(bool_); break;
+    case Kind::kInt: w.value(int_); break;
+    case Kind::kUint: w.value(static_cast<std::uint64_t>(int_)); break;
+    case Kind::kDouble: w.value(double_); break;
+    case Kind::kString: w.value(string_); break;
+    case Kind::kArray:
+      w.begin_array();
+      for (const Json& item : items_) item.write(w);
+      w.end_array();
       break;
-    case Kind::kBool:
-      out += bool_ ? "true" : "false";
-      break;
-    case Kind::kInt: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(int_));
-      out += buf;
-      break;
-    }
-    case Kind::kDouble: {
-      if (!std::isfinite(double_)) {
-        out += "null";  // inf/nan are not valid JSON
-        break;
+    case Kind::kObject:
+      w.begin_object();
+      for (const auto& [k, v] : fields_) {
+        w.key(k);
+        v.write(w);
       }
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.12g", double_);
-      out += buf;
+      w.end_object();
       break;
-    }
-    case Kind::kString:
-      escape_to(out, string_);
-      break;
-    case Kind::kArray: {
-      if (items_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += "[\n";
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        indent_to(out, depth + 1);
-        items_[i].dump_to(out, depth + 1);
-        out += (i + 1 < items_.size()) ? ",\n" : "\n";
-      }
-      indent_to(out, depth);
-      out += ']';
-      break;
-    }
-    case Kind::kObject: {
-      if (fields_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{\n";
-      for (std::size_t i = 0; i < fields_.size(); ++i) {
-        indent_to(out, depth + 1);
-        escape_to(out, fields_[i].first);
-        out += ": ";
-        fields_[i].second.dump_to(out, depth + 1);
-        out += (i + 1 < fields_.size()) ? ",\n" : "\n";
-      }
-      indent_to(out, depth);
-      out += '}';
-      break;
-    }
   }
 }
 
 std::string Json::dump() const {
   std::string out;
-  dump_to(out, 0);
+  JsonWriter w(out);
+  write(w);
   out += '\n';
   return out;
 }

@@ -10,8 +10,8 @@
 //   Report      collects named scenarios and emits a schema-versioned
 //               BENCH_<name>.json stamped with git SHA, build type and
 //               compiler, so results are attributable to a commit;
-//   Json        a minimal ordered JSON value (objects keep insertion
-//               order) — enough for the report format, no dependency.
+//   Json        an ordered value tree (objects keep insertion order),
+//               serialized by the library's JSON writer (support/json.hpp).
 //
 // Each scenario separates DETERMINISTIC fields (iteration counts,
 // convergence flags, residual bands, parity diffs — machine-independent,
@@ -27,18 +27,21 @@
 #include <utility>
 #include <vector>
 
+#include "asyncit/support/json.hpp"
+
 namespace asyncit::bench {
 
 // ------------------------------------------------------------------ Json
-/// Minimal JSON value: null, bool, int64, double, string, array, object.
-/// Object fields keep insertion order so reports diff cleanly.
+/// Minimal JSON value: null, bool, int64, uint64, double, string, array,
+/// object. Object fields keep insertion order so reports diff cleanly.
 class Json {
  public:
   Json() : kind_(Kind::kNull) {}
   Json(bool v) : kind_(Kind::kBool), bool_(v) {}
   Json(int v) : kind_(Kind::kInt), int_(v) {}
   Json(std::int64_t v) : kind_(Kind::kInt), int_(v) {}
-  Json(std::uint64_t v) : kind_(Kind::kInt), int_(static_cast<std::int64_t>(v)) {}
+  Json(std::uint64_t v)
+      : kind_(Kind::kUint), int_(static_cast<std::int64_t>(v)) {}
   Json(double v) : kind_(Kind::kDouble), double_(v) {}
   Json(const char* v) : kind_(Kind::kString), string_(v) {}
   Json(std::string v) : kind_(Kind::kString), string_(std::move(v)) {}
@@ -46,22 +49,20 @@ class Json {
   static Json object();
   static Json array();
 
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-
   /// Object field access; inserts (in order) on first use.
   Json& operator[](const std::string& key);
   /// Array append.
   void push_back(Json v);
 
-  /// Serializes with 2-space indentation. Non-finite doubles render null.
+  /// Serializes as one compact line (number and non-finite policy of
+  /// support/json.hpp), newline-terminated.
   std::string dump() const;
 
  private:
   enum class Kind : std::uint8_t {
-    kNull, kBool, kInt, kDouble, kString, kArray, kObject
+    kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject
   };
-  void dump_to(std::string& out, int depth) const;
+  void write(JsonWriter& w) const;
 
   Kind kind_;
   bool bool_ = false;

@@ -300,8 +300,9 @@ def aggregate(results, counted_ranks, workload):
         wr = r.get("wire") or {}
         for key in total["wire"]:
             total["wire"][key] += int(wr.get(key, 0))
+        err = r.get("error", 0.0)  # null: the rank's error is not finite
         total["max_error"] = max(total["max_error"],
-                                 float(r.get("error", 0.0)))
+                                 float("inf") if err is None else float(err))
         dq = r.get("delay_quantiles") or {}
         ds = total["delay_summary"]
         ds["count"] += int(dq.get("count", 0))

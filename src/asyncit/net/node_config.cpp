@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "asyncit/support/json.hpp"
+
 namespace asyncit::net {
 
 namespace {
@@ -583,17 +585,15 @@ std::span<const ConfigKeySpec> node_config_schema() {
 }
 
 std::string node_config_schema_json() {
-  std::string out =
-      "{\"schema\":\"asyncit-node-config/1\",\"keys\":[";
-  bool first = true;
-  for (const ConfigKeySpec& s : node_config_schema()) {
-    if (!first) out += ",";
-    first = false;
-    out += std::string("{\"key\":\"") + s.key + "\",\"type\":\"" +
-           s.type + "\",\"default\":\"" + s.default_value +
-           "\",\"help\":\"" + s.help + "\"}";
-  }
-  out += "]}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("schema").value("asyncit-node-config/1")
+      .key("keys").begin_array();
+  for (const ConfigKeySpec& s : node_config_schema())
+    w.begin_object().key("key").value(s.key).key("type").value(s.type)
+        .key("default").value(s.default_value).key("help").value(s.help)
+        .end_object();
+  w.end_array().end_object();
   return out;
 }
 

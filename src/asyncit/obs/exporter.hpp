@@ -44,9 +44,11 @@ struct ExportMeta {
   std::uint64_t window_dropped = 0;
 };
 
-/// Writes `events` (any order; sorted internally by t_ns) as one trace
-/// document. Returns the number of traceEvents emitted.
-std::size_t write_chrome_trace(std::ostream& os, std::vector<Event> events,
+/// Writes `events` (any order; sorted by t_ns in place) as one trace
+/// document, `ts`/`dur` in microseconds as t_ns / 1e3 written exactly, so
+/// distinct nanosecond stamps stay distinct. Returns the number of events
+/// written, the six track-naming events not counted.
+std::size_t write_chrome_trace(std::ostream& os, std::vector<Event>& events,
                                const ExportMeta& meta);
 
 /// Convenience: snapshot the global TraceRecorder and write to `path`.

@@ -1,19 +1,8 @@
 #include "asyncit/obs/metrics.hpp"
 
-#include <cmath>
-#include <sstream>
+#include "asyncit/support/json.hpp"
 
 namespace asyncit::obs {
-
-namespace {
-void append_double(std::ostringstream* os, double v) {
-  if (std::isfinite(v)) {
-    *os << v;
-  } else {
-    *os << '"' << (v > 0 ? "inf" : (v < 0 ? "-inf" : "nan")) << '"';
-  }
-}
-}  // namespace
 
 // ------------------------------------------------------- MetricsRegistry
 
@@ -48,24 +37,15 @@ void MetricsRegistry::reset() {
 
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  os << "{\"schema\":\"asyncit-metrics/1\",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counter_index_) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << name << "\":" << c->value();
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauge_index_) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << name << "\":";
-    append_double(&os, g->value());
-  }
-  os << "}}";
-  return os.str();
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("schema").value("asyncit-metrics/1");
+  w.key("counters").begin_object();
+  for (const auto& [name, c] : counter_index_) w.key(name).value(c->value());
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, g] : gauge_index_) w.key(name).value(g->value());
+  w.end_object().end_object();
+  return out;
 }
 
 }  // namespace asyncit::obs

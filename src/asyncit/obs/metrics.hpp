@@ -9,10 +9,9 @@
 // event. reset() zeroes values in place (handles stay valid) at run
 // boundaries.
 //
-// to_json() renders the same ordered-object style as the bench
-// harness's `asyncit-bench/1` reports, under schema `asyncit-metrics/1`
-// (the registry is a core-library citizen, so it carries its own tiny
-// emitter instead of depending on bench/harness).
+// to_json() renders a snapshot, schema `asyncit-metrics/1`, through the
+// one JSON writer (support/json.hpp): counters exact, gauges in their
+// shortest round-trip form, non-finite gauges as null.
 #pragma once
 
 #include <atomic>

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -214,6 +216,48 @@ TEST(Metrics, RegistryCountsAndSnapshotsJson) {
   EXPECT_NE(json.find("\"schema\":\"asyncit-metrics/1\""), std::string::npos);
   EXPECT_NE(json.find("\"test.frames\":5"), std::string::npos);
   EXPECT_NE(json.find("\"test.depth\":7.5"), std::string::npos);
+}
+
+/// Every number that follows `"<key>":` in `doc`, parsed with strtod.
+std::vector<double> numbers_after(const std::string& doc,
+                                  const std::string& key) {
+  std::vector<double> out;
+  const std::string pat = "\"" + key + "\":";
+  for (std::size_t at = doc.find(pat); at != std::string::npos;
+       at = doc.find(pat, at + 1))
+    out.push_back(std::strtod(doc.c_str() + at + pat.size(), nullptr));
+  return out;
+}
+
+TEST(Metrics, GaugesRenderExactAndNonFiniteAsNull) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  reg.reset();
+  const double ln2 = 0.693147180559945;
+  reg.gauge("test.ln2").set(ln2);
+  reg.gauge("test.inf").set(std::numeric_limits<double>::infinity());
+  const std::string json = reg.to_json();
+  const std::vector<double> back = numbers_after(json, "test.ln2");
+  ASSERT_EQ(back.size(), 1u) << json;
+  EXPECT_EQ(std::memcmp(&back[0], &ln2, sizeof ln2), 0) << json;
+  EXPECT_NE(json.find("\"test.inf\":null"), std::string::npos) << json;
+  reg.reset();
+}
+
+TEST(Exporter, NanosecondStampsStayDistinct) {
+  // 3 us apart at ~12.3 s: a 6-significant-digit `ts` collapses both
+  // onto 1.23457e+07.
+  std::vector<obs::Event> events(2);
+  events[0].type = events[1].type = obs::EventType::kMarker;
+  events[0].t_ns = 12345681901ull;  // out of order: the exporter sorts
+  events[1].t_ns = 12345678901ull;
+  std::ostringstream os;
+  obs::write_chrome_trace(os, events, obs::ExportMeta{});
+  EXPECT_EQ(events[0].t_ns, 12345678901ull) << "sorted in place";
+  const std::vector<double> ts = numbers_after(os.str(), "ts");
+  ASSERT_EQ(ts.size(), 2u) << os.str();
+  EXPECT_NE(ts[0], ts[1]);
+  EXPECT_NEAR(ts[0], 12345678901.0 / 1e3, 1e-3);
+  EXPECT_NEAR(ts[1], 12345681901.0 / 1e3, 1e-3);
 }
 
 TEST(Exporter, WritesWellFormedChromeTraceJson) {

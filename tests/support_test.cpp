@@ -1,11 +1,20 @@
 // Tests for the support substrate: RNG determinism and distributions,
-// running statistics, percentiles, slope fitting, table rendering, checks.
+// running statistics, percentiles, slope fitting, table rendering, checks,
+// and the JSON writer's escaping, number and comma policies.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "asyncit/support/check.hpp"
+#include "asyncit/support/json.hpp"
 #include "asyncit/support/rng.hpp"
 #include "asyncit/support/stats.hpp"
 #include "asyncit/support/table.hpp"
@@ -173,9 +182,117 @@ TEST(TextTable, NumberFormatting) {
 TEST(WallTimer, MeasuresNonnegativeTime) {
   WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i)
+    sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(t.seconds(), 0.0);
   EXPECT_GE(t.millis(), t.seconds());
+}
+
+std::string json_of(double v) {
+  std::string out;
+  JsonWriter(out).value(v);
+  return out;
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters) {
+  std::string out;
+  JsonWriter(out).value(std::string("a\"b\\c\nd\x01" "e"));
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\u000ad\\u0001e\"");
+  out.clear();
+  JsonWriter(out).begin_object().key("k\"\t").value("").end_object();
+  EXPECT_EQ(out, "{\"k\\\"\\u0009\":\"\"}");
+}
+
+TEST(JsonWriter, NonFiniteDoublesAreNull) {
+  EXPECT_EQ(json_of(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_of(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_of(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+TEST(JsonWriter, IntegersAreExact) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_array()
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::uint16_t{7})
+      .value(-3)
+      .end_array();
+  EXPECT_EQ(out, "[18446744073709551615,-9223372036854775808,7,-3]");
+}
+
+TEST(JsonWriter, DoublesAreShortestRoundTrip) {
+  EXPECT_EQ(json_of(0.1), "0.1");
+  EXPECT_EQ(json_of(1.5), "1.5");
+  EXPECT_EQ(json_of(0.0), "0");
+  // Bit-exact round trip through strtod over a spread of magnitudes,
+  // signs and mantissas, subnormals and the extremes included.
+  Rng rng(2024);
+  std::vector<double> sweep = {std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::min(),
+                               std::numeric_limits<double>::denorm_min(),
+                               -0.0, 1.0 / 3.0, 12345678.901, 1e23};
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t bits = rng.next();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) sweep.push_back(v);
+    sweep.push_back(rng.uniform(-1e6, 1e6));
+  }
+  for (const double v : sweep) {
+    const std::string text = json_of(v);
+    const double back = std::strtod(text.c_str(), nullptr);
+    ASSERT_EQ(std::memcmp(&back, &v, sizeof v), 0) << text;
+  }
+}
+
+TEST(JsonWriter, PlacesCommasInNestedContainers) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object()
+      .key("a").value(1)
+      .key("b").begin_array().end_array()
+      .key("c").begin_array()
+      .value(true)
+      .begin_object().end_object()
+      .begin_array().value(2).value(3).end_array()
+      .null()
+      .end_array()
+      .key("d").begin_object().key("e").value(false).key("f").null()
+      .end_object()
+      .end_object();
+  EXPECT_EQ(out,
+            "{\"a\":1,\"b\":[],\"c\":[true,{},[2,3],null],"
+            "\"d\":{\"e\":false,\"f\":null}}");
+}
+
+TEST(JsonWriter, OutputParsesWithPython) {
+  if (std::system("python3 -c 'pass' >/dev/null 2>&1") != 0)
+    GTEST_SKIP() << "python3 not on PATH";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object()
+      .key("text").value(std::string("q\"b\\n\n\x01\x1f end"))
+      .key("big").value(std::numeric_limits<std::uint64_t>::max())
+      .key("small").value(std::numeric_limits<std::int64_t>::min())
+      .key("tenth").value(0.1)
+      .key("inf").value(std::numeric_limits<double>::infinity())
+      .key("list").begin_array().value(1e-300).value(-2.5e300).end_array()
+      .end_object();
+  const std::string path = ::testing::TempDir() + "json_writer.json";
+  const std::string script = ::testing::TempDir() + "json_writer_check.py";
+  std::ofstream(path) << out;
+  std::ofstream(script) << R"(import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["text"] == "q\"b\\n\n\x01\x1f end", d
+assert d["big"] == 2**64 - 1 and d["small"] == -2**63, d
+assert d["tenth"] == 0.1 and d["inf"] is None, d
+assert d["list"] == [1e-300, -2.5e300], d
+)";
+  EXPECT_EQ(std::system(("python3 " + script + " " + path).c_str()), 0)
+      << out;
+  std::remove(script.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -38,10 +38,9 @@
 //             deltas_applied, examples} — null for solve-only ranks
 // Solve-specific fields (error, inversions, membership, links, ...)
 // keep their /2 meaning and are simply absent from train-workload
-// lines. The older ASYNCIT_NODE_RESULT key=value line is kept for
-// humans and old scripts. The ASYNCIT_NODE_START marker carries
-// epoch_ns (realtime clock at solve start) so tools/trace_merge.py can
-// cross-check its per-rank clock alignment.
+// lines. The ASYNCIT_NODE_START marker carries epoch_ns (realtime clock
+// at solve start) so tools/trace_merge.py can cross-check its per-rank
+// clock alignment.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -57,6 +56,7 @@
 #include "asyncit/obs/exporter.hpp"
 #include "asyncit/obs/metrics.hpp"
 #include "asyncit/obs/streamer.hpp"
+#include "asyncit/support/json.hpp"
 #include "asyncit/train/psgd.hpp"
 
 namespace {
@@ -78,6 +78,13 @@ void print_start_marker(std::uint32_t rank) {
   std::printf("ASYNCIT_NODE_START rank=%u epoch_ns=%llu\n", rank,
               static_cast<unsigned long long>(start_epoch_ns));
   std::fflush(stdout);
+}
+
+/// Delay-histogram summary: {count, p50, p95, p99, max}.
+void write_quantiles(JsonWriter& w, const obs::Histogram& h) {
+  w.begin_object().key("count").value(h.count()).key("p50").value(h.p50())
+      .key("p95").value(h.p95()).key("p99").value(h.p99())
+      .key("max").value(h.max()).end_object();
 }
 
 /// Streaming trace windows (config stream_interval > 0): a background
@@ -199,131 +206,84 @@ int run_solve_workload(const net::NodeConfig& cfg, std::uint32_t rank,
         static_cast<unsigned long long>(result.messages_delivered),
         static_cast<unsigned long long>(result.messages_dropped),
         static_cast<unsigned long long>(result.inversions_observed));
-  // Machine-parseable summaries. The key=value line predates the JSON
-  // one and is kept for humans / old scripts; launch_cluster.py reads
-  // the asyncit-node/3 JSON (one line, schema documented in the header
-  // comment above).
-  std::printf("ASYNCIT_NODE_RESULT rank=%u ok=%d converged=%d error=%.17g "
-              "updates=%llu sent=%llu delivered=%llu dropped=%llu\n",
-              rank, ok ? 1 : 0, result.converged ? 1 : 0,
-              result.final_error,
-              static_cast<unsigned long long>(result.total_updates),
-              static_cast<unsigned long long>(result.messages_sent),
-              static_cast<unsigned long long>(result.messages_delivered),
-              static_cast<unsigned long long>(result.messages_dropped));
-  const std::uint64_t bad_frames = fabric.bad_frames();
+  // The machine-parseable summary launch_cluster.py reads: one
+  // asyncit-node/3 line (schema in the header comment above).
   const membership::Stats& ms = result.membership;
-  std::string live = "[";
-  for (std::size_t i = 0; i < result.live_at_exit.size(); ++i) {
-    if (i > 0) live += ",";
-    live += std::to_string(result.live_at_exit[i]);
+  std::string line;
+  JsonWriter w(line);
+  w.begin_object().key("schema").value("asyncit-node/3")
+      .key("workload").value("solve").key("rank").value(rank)
+      .key("ok").value(ok).key("converged").value(result.converged)
+      .key("error").value(result.final_error).key("tol").value(cfg.tol)
+      .key("wall_seconds").value(result.wall_seconds)
+      .key("updates").value(result.total_updates)
+      .key("rounds").value(result.rounds)
+      .key("sent").value(result.messages_sent)
+      .key("delivered").value(result.messages_delivered)
+      .key("dropped").value(result.messages_dropped)
+      .key("inversions").value(result.inversions_observed)
+      .key("stale_filtered").value(result.stale_filtered)
+      .key("partials_sent").value(result.partials_sent)
+      .key("peers_stopped").value(result.peers_stopped)
+      .key("frames_rejected").value(result.frames_rejected)
+      .key("bad_frames").value(fabric.bad_frames());
+  w.key("membership").begin_object()
+      .key("enabled").value(cfg.membership.enabled)
+      .key("pings_sent").value(ms.pings_sent)
+      .key("acks_sent").value(ms.acks_sent)
+      .key("acks_received").value(ms.acks_received)
+      .key("ping_reqs_sent").value(ms.ping_reqs_sent)
+      .key("gossip_frames_sent").value(ms.gossip_frames_sent)
+      .key("suspicions").value(ms.suspicions)
+      .key("deaths_observed").value(ms.deaths_observed)
+      .key("joins_observed").value(ms.joins_observed)
+      .key("refutations").value(ms.refutations)
+      .key("control_rejected").value(ms.control_rejected)
+      .key("reassignments").value(result.reassignments)
+      .key("snapshot_blocks_sent").value(result.snapshot_blocks_sent)
+      .key("snapshot_blocks_suppressed")
+      .value(result.snapshot_blocks_suppressed)
+      .key("live_at_exit").begin_array();
+  for (const auto r : result.live_at_exit) w.value(r);
+  w.end_array().end_object();
+  w.key("wire").begin_object().key("delta").value(cfg.wire_delta)
+      .key("bytes_raw").value(result.bytes_sent_raw)
+      .key("bytes_wire").value(result.bytes_sent_wire)
+      .key("frames_full").value(result.wire_frames_full)
+      .key("frames_delta").value(result.wire_frames_delta)
+      .key("frames_heartbeat").value(result.wire_frames_heartbeat)
+      .key("frames_codec").value(result.wire_frames_codec)
+      .end_object();
+  write_quantiles(w.key("delay_quantiles"), result.delays);
+  w.key("links").begin_array();
+  for (const net::MpResult::LinkDelay& l : result.link_delays) {
+    w.begin_object().key("src").value(l.src).key("dst").value(l.dst);
+    write_quantiles(w.key("quantiles"), l.delays);
+    w.end_object();
   }
-  live += "]";
-  // asyncit-node/2 additions, built as strings (the printf below is
-  // already at the edge of readability).
-  char qb[192];
-  const auto quantiles_json = [&qb](const obs::Histogram& h) {
-    std::snprintf(qb, sizeof qb,
-                  "{\"count\":%llu,\"p50\":%.9g,\"p95\":%.9g,"
-                  "\"p99\":%.9g,\"max\":%.9g}",
-                  static_cast<unsigned long long>(h.count()), h.p50(),
-                  h.p95(), h.p99(), h.max());
-    return std::string(qb);
-  };
-  std::string links = "[";
-  for (std::size_t i = 0; i < result.link_delays.size(); ++i) {
-    const net::MpResult::LinkDelay& l = result.link_delays[i];
-    if (i > 0) links += ",";
-    links += "{\"src\":" + std::to_string(l.src) +
-             ",\"dst\":" + std::to_string(l.dst) +
-             ",\"quantiles\":" + quantiles_json(l.delays) + "}";
-  }
-  links += "]";
-  std::string audit_json = "null";
-  if (!result.admissibility.empty()) {
+  w.end_array().key("admissibility");
+  if (result.admissibility.empty()) {
+    w.null();
+  } else {
     const obs::AdmissibilityReport& ar = result.admissibility.front();
-    char ab[384];
-    std::snprintf(
-        ab, sizeof ab,
-        "{\"steps\":%llu,\"a_holds\":%s,\"b_diverging\":%s,"
-        "\"b_final_min_label\":%llu,\"c_fair\":%s,"
-        "\"c_min_occurrences\":%llu,\"c_worst_gap\":%llu,"
-        "\"d_bound\":%llu,\"d_at_step\":%llu,\"d_mean\":%.9g}",
-        static_cast<unsigned long long>(ar.steps),
-        ar.a_holds ? "true" : "false", ar.b_diverging ? "true" : "false",
-        static_cast<unsigned long long>(ar.b_final_min_label),
-        ar.c_fair ? "true" : "false",
-        static_cast<unsigned long long>(ar.c_min_occurrences),
-        static_cast<unsigned long long>(ar.c_worst_gap),
-        static_cast<unsigned long long>(ar.d_bound),
-        static_cast<unsigned long long>(ar.d_at_step), ar.d_mean);
-    audit_json = ab;
+    w.begin_object().key("steps").value(ar.steps)
+        .key("a_holds").value(ar.a_holds)
+        .key("b_diverging").value(ar.b_diverging)
+        .key("b_final_min_label").value(ar.b_final_min_label)
+        .key("c_fair").value(ar.c_fair)
+        .key("c_min_occurrences").value(ar.c_min_occurrences)
+        .key("c_worst_gap").value(ar.c_worst_gap)
+        .key("d_bound").value(ar.d_bound).key("d_at_step").value(ar.d_at_step)
+        .key("d_mean").value(ar.d_mean).end_object();
   }
-  std::printf(
-      "ASYNCIT_NODE_JSON {\"schema\":\"asyncit-node/3\","
-      "\"workload\":\"solve\",\"rank\":%u,"
-      "\"ok\":%s,\"converged\":%s,\"error\":%.17g,\"tol\":%.17g,"
-      "\"wall_seconds\":%.6f,\"updates\":%llu,\"rounds\":%llu,"
-      "\"sent\":%llu,\"delivered\":%llu,\"dropped\":%llu,"
-      "\"inversions\":%llu,\"stale_filtered\":%llu,\"partials_sent\":%llu,"
-      "\"peers_stopped\":%llu,\"frames_rejected\":%llu,\"bad_frames\":%llu,"
-      "\"membership\":{\"enabled\":%s,\"pings_sent\":%llu,"
-      "\"acks_sent\":%llu,\"acks_received\":%llu,\"ping_reqs_sent\":%llu,"
-      "\"gossip_frames_sent\":%llu,\"suspicions\":%llu,"
-      "\"deaths_observed\":%llu,\"joins_observed\":%llu,"
-      "\"refutations\":%llu,\"control_rejected\":%llu,"
-      "\"reassignments\":%llu,\"snapshot_blocks_sent\":%llu,"
-      "\"snapshot_blocks_suppressed\":%llu,"
-      "\"live_at_exit\":%s},"
-      "\"wire\":{\"delta\":%s,\"bytes_raw\":%llu,\"bytes_wire\":%llu,"
-      "\"frames_full\":%llu,\"frames_delta\":%llu,"
-      "\"frames_heartbeat\":%llu,\"frames_codec\":%llu},"
-      "\"delay_quantiles\":%s,\"links\":%s,"
-      "\"admissibility\":%s,\"obs\":{\"recorded\":%llu,"
-      "\"dropped\":%llu},\"gate_stalls\":%llu,"
-      "\"steering\":{\"decisions\":%llu,\"staleness_at_exit\":%llu},"
-      "\"train\":null}\n",
-      rank, ok ? "true" : "false", result.converged ? "true" : "false",
-      result.final_error, cfg.tol, result.wall_seconds,
-      static_cast<unsigned long long>(result.total_updates),
-      static_cast<unsigned long long>(result.rounds),
-      static_cast<unsigned long long>(result.messages_sent),
-      static_cast<unsigned long long>(result.messages_delivered),
-      static_cast<unsigned long long>(result.messages_dropped),
-      static_cast<unsigned long long>(result.inversions_observed),
-      static_cast<unsigned long long>(result.stale_filtered),
-      static_cast<unsigned long long>(result.partials_sent),
-      static_cast<unsigned long long>(result.peers_stopped),
-      static_cast<unsigned long long>(result.frames_rejected),
-      static_cast<unsigned long long>(bad_frames),
-      cfg.membership.enabled ? "true" : "false",
-      static_cast<unsigned long long>(ms.pings_sent),
-      static_cast<unsigned long long>(ms.acks_sent),
-      static_cast<unsigned long long>(ms.acks_received),
-      static_cast<unsigned long long>(ms.ping_reqs_sent),
-      static_cast<unsigned long long>(ms.gossip_frames_sent),
-      static_cast<unsigned long long>(ms.suspicions),
-      static_cast<unsigned long long>(ms.deaths_observed),
-      static_cast<unsigned long long>(ms.joins_observed),
-      static_cast<unsigned long long>(ms.refutations),
-      static_cast<unsigned long long>(ms.control_rejected),
-      static_cast<unsigned long long>(result.reassignments),
-      static_cast<unsigned long long>(result.snapshot_blocks_sent),
-      static_cast<unsigned long long>(result.snapshot_blocks_suppressed),
-      live.c_str(), cfg.wire_delta ? "true" : "false",
-      static_cast<unsigned long long>(result.bytes_sent_raw),
-      static_cast<unsigned long long>(result.bytes_sent_wire),
-      static_cast<unsigned long long>(result.wire_frames_full),
-      static_cast<unsigned long long>(result.wire_frames_delta),
-      static_cast<unsigned long long>(result.wire_frames_heartbeat),
-      static_cast<unsigned long long>(result.wire_frames_codec),
-      quantiles_json(result.delays).c_str(), links.c_str(),
-      audit_json.c_str(),
-      static_cast<unsigned long long>(result.obs_events_recorded),
-      static_cast<unsigned long long>(result.obs_events_dropped),
-      static_cast<unsigned long long>(result.gate_stalls),
-      static_cast<unsigned long long>(result.steering_decisions),
-      static_cast<unsigned long long>(result.staleness_at_exit));
+  w.key("obs").begin_object().key("recorded").value(result.obs_events_recorded)
+      .key("dropped").value(result.obs_events_dropped).end_object()
+      .key("gate_stalls").value(result.gate_stalls)
+      .key("steering").begin_object()
+      .key("decisions").value(result.steering_decisions)
+      .key("staleness_at_exit").value(result.staleness_at_exit).end_object()
+      .key("train").null().end_object();
+  std::printf("ASYNCIT_NODE_JSON %s\n", line.c_str());
   return ok ? 0 : 1;
 }
 
@@ -369,42 +329,33 @@ int run_train_workload(const net::NodeConfig& cfg, std::uint32_t rank,
         static_cast<unsigned long long>(result.messages_sent),
         static_cast<unsigned long long>(result.messages_delivered),
         static_cast<unsigned long long>(result.messages_dropped));
-  std::printf("ASYNCIT_NODE_RESULT rank=%u ok=%d converged=%d error=-1 "
-              "updates=%llu sent=%llu delivered=%llu dropped=%llu\n",
-              rank, ok ? 1 : 0, result.converged ? 1 : 0,
-              static_cast<unsigned long long>(updates),
-              static_cast<unsigned long long>(result.messages_sent),
-              static_cast<unsigned long long>(result.messages_delivered),
-              static_cast<unsigned long long>(result.messages_dropped));
-  std::printf(
-      "ASYNCIT_NODE_JSON {\"schema\":\"asyncit-node/3\","
-      "\"workload\":\"train\",\"rank\":%u,\"ok\":%s,\"converged\":%s,"
-      "\"wall_seconds\":%.6f,\"updates\":%llu,\"rounds\":%llu,"
-      "\"sent\":%llu,\"delivered\":%llu,\"dropped\":%llu,"
-      "\"peers_stopped\":%llu,\"frames_rejected\":%llu,"
-      "\"bad_frames\":%llu,\"obs\":{\"recorded\":%llu,\"dropped\":%llu},"
-      "\"steering\":{\"decisions\":%llu,\"staleness_at_exit\":%llu},"
-      "\"train\":{\"epoch\":%llu,\"examples_per_sec\":%.9g,"
-      "\"loss\":%.9g,\"accuracy\":%.9g,\"steps\":%llu,"
-      "\"deltas_applied\":%llu,\"examples\":%llu}}\n",
-      rank, ok ? "true" : "false", result.converged ? "true" : "false",
-      result.wall_seconds, static_cast<unsigned long long>(updates),
-      static_cast<unsigned long long>(result.rounds),
-      static_cast<unsigned long long>(result.messages_sent),
-      static_cast<unsigned long long>(result.messages_delivered),
-      static_cast<unsigned long long>(result.messages_dropped),
-      static_cast<unsigned long long>(result.peers_stopped),
-      static_cast<unsigned long long>(result.frames_rejected),
-      static_cast<unsigned long long>(fabric.bad_frames()),
-      static_cast<unsigned long long>(result.obs_events_recorded),
-      static_cast<unsigned long long>(result.obs_events_dropped),
-      static_cast<unsigned long long>(result.steering_decisions),
-      static_cast<unsigned long long>(result.staleness_at_exit),
-      static_cast<unsigned long long>(result.epochs),
-      result.examples_per_sec, result.final_loss, result.final_accuracy,
-      static_cast<unsigned long long>(steps),
-      static_cast<unsigned long long>(result.deltas_applied),
-      static_cast<unsigned long long>(result.examples_processed));
+  std::string line;
+  JsonWriter w(line);
+  w.begin_object().key("schema").value("asyncit-node/3")
+      .key("workload").value("train").key("rank").value(rank)
+      .key("ok").value(ok).key("converged").value(result.converged)
+      .key("wall_seconds").value(result.wall_seconds)
+      .key("updates").value(updates).key("rounds").value(result.rounds)
+      .key("sent").value(result.messages_sent)
+      .key("delivered").value(result.messages_delivered)
+      .key("dropped").value(result.messages_dropped)
+      .key("peers_stopped").value(result.peers_stopped)
+      .key("frames_rejected").value(result.frames_rejected)
+      .key("bad_frames").value(fabric.bad_frames());
+  w.key("obs").begin_object().key("recorded").value(result.obs_events_recorded)
+      .key("dropped").value(result.obs_events_dropped).end_object()
+      .key("steering").begin_object()
+      .key("decisions").value(result.steering_decisions)
+      .key("staleness_at_exit").value(result.staleness_at_exit).end_object();
+  w.key("train").begin_object().key("epoch").value(result.epochs)
+      .key("examples_per_sec").value(result.examples_per_sec)
+      .key("loss").value(result.final_loss)
+      .key("accuracy").value(result.final_accuracy)
+      .key("steps").value(steps)
+      .key("deltas_applied").value(result.deltas_applied)
+      .key("examples").value(result.examples_processed)
+      .end_object().end_object();
+  std::printf("ASYNCIT_NODE_JSON %s\n", line.c_str());
   return ok ? 0 : 1;
 }
 

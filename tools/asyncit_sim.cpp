@@ -41,6 +41,7 @@
 #include "asyncit/asyncit.hpp"
 #include "asyncit/net/node_config.hpp"
 #include "asyncit/simnet/world.hpp"
+#include "asyncit/support/json.hpp"
 
 namespace {
 
@@ -170,23 +171,28 @@ int main(int argc, char** argv) {
       total_wall > 0.0
           ? double(last.events) * double(cfg.sim_runs) / total_wall
           : 0.0;
-  std::printf(
-      "ASYNCIT_SIM_JSON {\"schema\":\"asyncit-sim/1\",\"world\":%zu,"
-      "\"mode\":\"%s\",\"runs\":%zu,\"deterministic\":%s,\"ok\":%s,"
-      "\"converged_ranks\":%zu,\"events\":%" PRIu64
-      ",\"events_per_sec\":%.9g,\"virtual_seconds\":%.6f,"
-      "\"wall_seconds\":%.6f,\"final_residual\":%.17g,"
-      "\"log_hash\":\"%016" PRIx64 "\",\"updates\":%" PRIu64
-      ",\"sent\":%" PRIu64 ",\"delivered\":%" PRIu64 ",\"dropped\":%" PRIu64
-      ",\"partition_dropped\":%" PRIu64 ",\"wall_ok\":%s}\n",
-      cfg.world,
-      cfg.mode == net::Mode::kAsync ? "async"
-      : cfg.mode == net::Mode::kSsp ? "ssp"
-                                    : "bsp",
-      cfg.sim_runs, deterministic ? "true" : "false",
-      ok ? "true" : "false", converged_ranks, last.events, events_per_sec,
-      last.virtual_seconds, total_wall, last.final_residual, last.log_hash,
-      last.total_updates, last.messages_sent, last.messages_delivered,
-      last.messages_dropped, last.partition_dropped, wall_ok ? "true" : "false");
+  char log_hash[17];
+  std::snprintf(log_hash, sizeof log_hash, "%016" PRIx64, last.log_hash);
+  std::string line;
+  JsonWriter w(line);
+  w.begin_object().key("schema").value("asyncit-sim/1")
+      .key("world").value(cfg.world)
+      .key("mode").value(cfg.mode == net::Mode::kAsync ? "async"
+                         : cfg.mode == net::Mode::kSsp ? "ssp"
+                                                       : "bsp")
+      .key("runs").value(cfg.sim_runs).key("deterministic").value(deterministic)
+      .key("ok").value(ok).key("converged_ranks").value(converged_ranks)
+      .key("events").value(last.events)
+      .key("events_per_sec").value(events_per_sec)
+      .key("virtual_seconds").value(last.virtual_seconds)
+      .key("wall_seconds").value(total_wall)
+      .key("final_residual").value(last.final_residual)
+      .key("log_hash").value(log_hash).key("updates").value(last.total_updates)
+      .key("sent").value(last.messages_sent)
+      .key("delivered").value(last.messages_delivered)
+      .key("dropped").value(last.messages_dropped)
+      .key("partition_dropped").value(last.partition_dropped)
+      .key("wall_ok").value(wall_ok).end_object();
+  std::printf("ASYNCIT_SIM_JSON %s\n", line.c_str());
   return ok ? 0 : 1;
 }
